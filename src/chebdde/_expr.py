@@ -313,13 +313,13 @@ def evaluate(node: Expr, state, params, funcs=None):
             if node.op == "/":
                 return a / b
             return a**b
-        except (ZeroDivisionError, ValueError) as exc:
+        except (ZeroDivisionError, ValueError, OverflowError) as exc:
             raise EvalDomainError(str(exc), to_text(node)) from None
     if isinstance(node, Call):
         arg = evaluate(node.arg, state, params, funcs)
         try:
             return funcs[node.fn](arg)
-        except (ZeroDivisionError, ValueError) as exc:
+        except (ZeroDivisionError, ValueError, OverflowError) as exc:
             raise EvalDomainError(str(exc), to_text(node)) from None
     raise TypeError(f"not an expression node: {node!r}")
 

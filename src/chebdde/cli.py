@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -74,10 +75,22 @@ def _emit(text: str, path):
     if path is None:
         sys.stdout.write(text)
         return
-    tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    # a unique temp file, so concurrent runs never share one; mkstemp makes
+    # it private, so give it the mode a plain open() would
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    umask = os.umask(0)
+    os.umask(umask)
+    try:
+        with os.fdopen(fd, "w") as handle:
+            os.fchmod(fd, 0o666 & ~umask)
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _parse_overrides(pairs):
@@ -90,6 +103,8 @@ def _parse_overrides(pairs):
             out[name] = float(val)
         except ValueError:
             raise argparse.ArgumentTypeError(f"non-numeric value in {pair!r}") from None
+        if not math.isfinite(out[name]):
+            raise argparse.ArgumentTypeError(f"non-finite value in {pair!r}")
     return out
 
 
@@ -433,15 +448,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        outputs = args.func(args)
+        for text, path in args.func(args):
+            _emit(text, path)
     except ChebddeError as exc:
         sys.stderr.write(json.dumps(_plain(exc.payload())) + "\n")
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    for text, path in outputs:
-        _emit(text, path)
     return 0
 
 

@@ -57,8 +57,11 @@ __all__ = [
 COND_LIMIT = 1e14
 
 
-def _basis_row(mesh: Mesh, theta: float) -> np.ndarray:
-    return _bary_coeffs(mesh.nodes, mesh.bary_weights, float(theta))
+def _lag_rows(mesh: Mesh, delays) -> np.ndarray:
+    """Row k holds the barycentric cardinal values ell_j(-tau_k)."""
+    return np.array(
+        [_bary_coeffs(mesh.nodes, mesh.bary_weights, -float(tau)) for tau in delays]
+    )
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,10 @@ class PsSystem:
     mesh: Mesh
     diff: DiffOp
     rhs_fn: Callable = field(repr=False, compare=False)
+    #: (K + n) x (n + 1) state operator: the K lag rows ell(-tau_k) stacked
+    #: on the tail block (d0 | D), so one product gives every lag value and
+    #: every tail derivative
+    op: np.ndarray = field(repr=False, compare=False)
 
 
 def make_system(model: DdeModel, n: int, equilibrium=None) -> PsSystem:
@@ -84,14 +91,19 @@ def make_system(model: DdeModel, n: int, equilibrium=None) -> PsSystem:
         else equilibrium_solve(model)
     )
     mesh = make_mesh(n)
+    diff = diff_matrix(mesh)
+    op = np.vstack(
+        [_lag_rows(mesh, model.delays), np.column_stack([diff.d0, diff.D])]
+    )
     return PsSystem(
         model=model,
         linear=linearize(model, xbar),
         equilibrium=xbar,
         n=n,
         mesh=mesh,
-        diff=diff_matrix(mesh),
+        diff=diff,
         rhs_fn=compile_rhs(model.rhs, model.params, len(model.delays)),
+        op=op,
     )
 
 
@@ -105,38 +117,27 @@ def assemble_An(ps: PsSystem) -> np.ndarray:
     """Dense linearized matrix; top block row couples the delays, the lower
     rows are the model-independent differentiation blocks (-D1 | D) x I_d."""
     d = ps.model.dim
-    n = ps.n
-    size = (n + 1) * d
+    k = len(ps.model.delays)
+    size = (ps.n + 1) * d
     a = np.zeros((size, size))
-    for tau, mat in ps.linear.terms:
-        row = _basis_row(ps.mesh, -tau)
-        for j in range(n + 1):
-            if row[j] != 0.0:
-                a[0:d, j * d : (j + 1) * d] += mat * row[j]
-    eye = np.eye(d)
-    for i in range(1, n + 1):
-        a[i * d : (i + 1) * d, 0:d] = ps.diff.d0[i - 1] * eye
-        for j in range(1, n + 1):
-            a[i * d : (i + 1) * d, j * d : (j + 1) * d] = ps.diff.D[i - 1, j - 1] * eye
+    for row, mat in zip(ps.op[:k], ps.linear.mats):
+        a[:d] += np.kron(row, mat)
+    a[d:] = np.kron(ps.op[k:], np.eye(d))
     return a
 
 
 def rhs(ps: PsSystem, state) -> np.ndarray:
-    """Full nonlinear vector field: node 0 evaluates the model on interpolated
-    lag values, nodes 1..n apply the differentiation blocks."""
-    d = ps.model.dim
-    n = ps.n
-    y = np.asarray(state, dtype=float).reshape(n + 1, d)
-    lag_vals = np.empty((len(ps.model.delays), d))
-    for k, tau in enumerate(ps.model.delays):
-        row = _basis_row(ps.mesh, -tau)
-        lag_vals[k] = row @ y
-    out = np.empty((n + 1, d))
+    """Full nonlinear vector field: one product with the precomputed state
+    operator gives the lag values at -tau_k (node 0 evaluates the model on
+    them) and the differentiated tail (nodes 1..n)."""
+    k = len(ps.model.delays)
+    z = ps.op.dot(np.asarray(state, dtype=float).reshape(ps.n + 1, ps.model.dim))
+    out = np.empty((ps.n + 1, ps.model.dim))
     try:
-        out[0] = ps.rhs_fn(lag_vals)
+        out[0] = ps.rhs_fn(z[:k])
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise EvalDomainError(str(exc), "model rhs at node 0") from None
-    out[1:] = ps.diff.D @ y[1:] + np.outer(ps.diff.d0, y[0])
+    out[1:] = z[k:]
     return out.reshape(-1)
 
 
@@ -167,9 +168,9 @@ class CharFnN:
         self.n = mesh.n
         self.dim = linear.dim
         self._d_one = -diff.d0  # D applied to the all-ones vector
-        self._basis_rows = {
-            tau: _basis_row(mesh, -tau) for tau in linear.delays
-        }
+        self._basis_rows = dict(
+            zip(linear.delays, _lag_rows(mesh, linear.delays))
+        )
         self._cache = {}
         self._lock = threading.Lock()
 

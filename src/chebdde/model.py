@@ -154,8 +154,8 @@ def blowflies(mu: float = 3.0, beta: float = 30.0) -> DdeModel:
     with the nontrivial equilibrium ln(beta/mu) hinted for beta > mu."""
 
     def hint(params):
-        ratio = params["beta"] / params["mu"]
-        return (math.log(ratio) if ratio > 1.0 else 0.0,)
+        mu, beta = params["mu"], params["beta"]
+        return (math.log(beta / mu) if mu > 0.0 and beta > mu else 0.0,)
 
     return make_model(
         dim=1,

@@ -129,7 +129,7 @@ def test_numerical_failure_exits_1_with_payload(capsys, tmp_path):
     assert "nope" in payload["message"]
     # failed runs never leave a partial artifact behind
     assert not target.exists()
-    assert not target.with_suffix(".json.tmp").exists()
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_curve_roundtrip_through_charfn(capsys):
@@ -190,7 +190,7 @@ def test_simulate_writes_csv_and_period_json(capsys, tmp_path):
     assert header == ["t", "y0"]
     assert float(rows[0][0]) == 0.0 and float(rows[0][1]) == 4.0
     assert float(rows[-1][0]) == 40.0
-    assert not (tmp_path / "traj.csv.tmp").exists()
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_simulate_period_needs_out(capsys):
@@ -256,3 +256,45 @@ def test_outputs_are_deterministic(capsys):
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
     assert first == second
+
+
+def test_eig_at_zero_mortality_uses_trivial_equilibrium(capsys):
+    # at mu = 0 the hint has no log(beta/mu); x = 0 is still an equilibrium
+    code, out, err = run(capsys, ["eig", "--model", "blowflies", "--set", "mu=0",
+                                  "--n", "4"])
+    assert code == 0
+    assert "Traceback" not in err
+    _, rows = rows_of(out)
+    assert len(rows) == 5
+
+
+def test_missing_model_file_exits_2(capsys, tmp_path):
+    code, _, err = run(capsys, ["eig", "--model", str(tmp_path / "missing.json"),
+                                "--n", "4"])
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_nonfinite_override_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eig", "--model", "blowflies", "--set", "beta=1e400", "--n", "4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err
+    assert "Traceback" not in err
+
+
+def test_out_leaves_no_temp_file(capsys, tmp_path):
+    target = tmp_path / "mesh.csv"
+    for _ in range(2):  # the second run replaces the first file
+        code, out, _ = run(capsys, ["mesh", "--n", "3", "--out", str(target)])
+        assert code == 0 and out == ""
+    assert target.read_text().startswith("label,j0,j1,j2,j3\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mesh.csv"]
+    # an unwritable destination is a usage error and leaves nothing behind
+    code, _, err = run(capsys, ["mesh", "--n", "3", "--out",
+                                str(tmp_path / "absent" / "mesh.csv")])
+    assert code == 2
+    assert err.startswith("error:") and "absent" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mesh.csv"]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from chebdde.cheb_mesh import interpolate
 from chebdde.discretize import (
     CharFnN,
     assemble_An,
@@ -105,6 +106,36 @@ def test_rhs_pure_transport():
     assert out[0] == 0.0
     want = ps.diff.D @ y[1:] + ps.diff.d0 * y[0]
     assert np.max(np.abs(out[1:] - want)) < 1e-14
+
+
+def test_rhs_off_node_delay():
+    # tau = 0.3 is no node of the n = 7 mesh, so the lag row is a full
+    # barycentric row rather than a unit vector
+    model = make_model(1, (0.0, 0.3), ("-a*x0@0 + b*x0@1*exp(-x0@1)",),
+                       {"a": 2.0, "b": 9.0})
+    ps = make_system(model, 7, equilibrium=[math.log(4.5)])
+    assert not np.any(np.isclose(ps.mesh.nodes, -0.3))
+    rng = np.random.default_rng(11)
+    y = rng.uniform(0.1, 3.0, size=8)
+    out = rhs(ps, y)
+    lag = interpolate(ps.mesh, y[0], y[1:], -0.3)
+    assert abs(out[0] - (-2.0 * y[0] + 9.0 * lag * math.exp(-lag))) < 1e-13
+    want = ps.diff.D @ y[1:] + ps.diff.d0 * y[0]
+    assert np.max(np.abs(out[1:] - want)) < 1e-13
+
+
+def test_rhs_two_component_layout():
+    k, c = 1.5, 1.5
+    ps = make_system(fluidflow(k, c), 7)
+    rng = np.random.default_rng(13)
+    y = rng.uniform(0.2, 2.0, size=(8, 2))
+    out = rhs(ps, y.reshape(-1)).reshape(8, 2)
+    w0, _ = interpolate(ps.mesh, y[0], y[1:], 0.0)
+    w1, q1 = interpolate(ps.mesh, y[0], y[1:], -1.0)
+    head = [1.0 - k * w0 * w1 * q1 / 2.0, w0 - c]
+    assert np.max(np.abs(out[0] - head)) < 1e-13
+    want = ps.diff.D @ y[1:] + np.outer(ps.diff.d0, y[0])
+    assert np.max(np.abs(out[1:] - want)) < 1e-13
 
 
 def test_charfn_blowflies_n2_closed_form():

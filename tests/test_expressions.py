@@ -152,6 +152,14 @@ def test_division_by_zero_reported():
     assert "a - 1" in str(err.value)
 
 
+def test_overflow_reported_as_domain_error():
+    with pytest.raises(EvalDomainError) as err:
+        evaluate(parse_expr("exp(x0@0)"), {(0, 0): 1000.0}, {})
+    assert "exp(x0@0)" in str(err.value)
+    with pytest.raises(EvalDomainError):
+        evaluate(parse_expr("x0@0^400"), {(0, 0): 10.0}, {})
+
+
 def test_compile_rhs_matches_tree_eval():
     exprs = [
         parse_expr("-mu*x0@0 + beta*x0@1*exp(-x0@1)"),

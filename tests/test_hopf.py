@@ -471,6 +471,22 @@ def test_trace_blowflies_against_analytic_chart():
         assert abs(beta_i - beta_o) / mu_i < 1e-6
 
 
+def test_trace_blowflies_survives_overflowing_corrector():
+    # from this start a corrector lands where exp overflows inside the
+    # equilibrium Newton; that build counts as a failed step, not a crash
+    mu0 = 4.251273284166452
+    w0, beta0 = blowfly_oracle(mu0)
+    m = blowflies(mu0, beta0)
+    start = find_hopf(make_charfn(m, 10), "beta", w0, beta0)
+    curve = trace_hopf_curve(m, ("mu", "beta"), start, 0.25, max_points=200, n=10)
+    assert len(curve.points) == 199
+    mu = curve.points[:, 0]
+    assert mu.min() < 1.0 and mu.max() > 10.0
+    for mu_i, beta_i in curve.points[(mu >= 1.0) & (mu <= 10.0), :2]:
+        _, beta_o = blowfly_oracle(mu_i)
+        assert abs(beta_i - beta_o) / mu_i < 1e-4
+
+
 def fluidflow_omega(c):
     """Crossing frequency in (0, pi) of the fluid-flow Hopf locus
     k c^2/2 = omega^2, omega tan(omega/2) = 1/c; the left side increases
