@@ -373,6 +373,122 @@ def eval_jet3(node: Expr, base, directions, params=None):
     return t
 
 
+_ZERO, _ONE = Num(0.0), Num(1.0)
+
+
+def _neg(a: Expr) -> Expr:
+    if isinstance(a, Num):
+        return Num(-a.value)
+    return Neg(a)
+
+
+def _add(a: Expr, b: Expr) -> Expr:
+    if a == _ZERO:
+        return b
+    if b == _ZERO:
+        return a
+    return BinOp("+", a, b)
+
+
+def _sub(a: Expr, b: Expr) -> Expr:
+    if b == _ZERO:
+        return a
+    if a == _ZERO:
+        return _neg(b)
+    return BinOp("-", a, b)
+
+
+def _mul(a: Expr, b: Expr) -> Expr:
+    if a == _ZERO or b == _ZERO:
+        return _ZERO
+    if a == _ONE:
+        return b
+    if b == _ONE:
+        return a
+    return BinOp("*", a, b)
+
+
+def _div(a: Expr, b: Expr) -> Expr:
+    if a == _ZERO:
+        return _ZERO
+    if b == _ONE:
+        return a
+    return BinOp("/", a, b)
+
+
+def _pow(a: Expr, b: Expr) -> Expr:
+    if b == _ZERO:
+        return _ONE
+    if b == _ONE:
+        return a
+    return BinOp("^", a, b)
+
+
+def diff(node: Expr, leaf) -> Expr:
+    """Derivative of the tree with respect to a State or Param leaf.
+
+    The constants 0 and 1 are folded, so a derivative that vanishes comes out
+    as Num(0.0). A power whose exponent does not depend on the leaf is
+    differentiated as b a^(b-1) a', which keeps integer powers of
+    non-positive bases defined.
+    """
+    if isinstance(node, Num):
+        return _ZERO
+    if isinstance(node, (Param, State)):
+        return _ONE if node == leaf else _ZERO
+    if isinstance(node, Neg):
+        return _neg(diff(node.arg, leaf))
+    if isinstance(node, Call):
+        a = node.arg
+        da = diff(a, leaf)
+        if node.fn == "exp":
+            return _mul(node, da)
+        if node.fn == "log":
+            return _div(da, a)
+        if node.fn == "sin":
+            return _mul(Call("cos", a), da)
+        if node.fn == "cos":
+            return _neg(_mul(Call("sin", a), da))
+        raise ValueError(f"no derivative for function {node.fn!r}")
+    if isinstance(node, BinOp):
+        a, b = node.left, node.right
+        da, db = diff(a, leaf), diff(b, leaf)
+        if node.op == "+":
+            return _add(da, db)
+        if node.op == "-":
+            return _sub(da, db)
+        if node.op == "*":
+            return _add(_mul(da, b), _mul(a, db))
+        if node.op == "/":
+            return _sub(_div(da, b), _div(_mul(a, db), _mul(b, b)))
+        if db == _ZERO:
+            lowered = Num(b.value - 1.0) if isinstance(b, Num) else _sub(b, _ONE)
+            return _mul(_mul(b, _pow(a, lowered)), da)
+        # d(a^b) = a^b (b' log a + b a'/a)
+        return _mul(node, _add(_mul(db, Call("log", a)), _div(_mul(b, da), a)))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _source(node: Expr, leaf) -> str:
+    """Python source of the tree; `leaf` prints the Param and State nodes."""
+    if isinstance(node, Num):
+        return repr(node.value)
+    if isinstance(node, (Param, State)):
+        return leaf(node)
+    if isinstance(node, Neg):
+        return f"(-{_source(node.arg, leaf)})"
+    if isinstance(node, BinOp):
+        op = "**" if node.op == "^" else node.op
+        return f"({_source(node.left, leaf)}{op}{_source(node.right, leaf)})"
+    if isinstance(node, Call):
+        return f"{node.fn}({_source(node.arg, leaf)})"
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _compile(source: str):
+    return eval(compile(source, "<rhs>", "eval"), dict(_NUM_FUNCS))
+
+
 def compile_rhs(exprs, params, n_lags: int):
     """Compile expression trees into one fast callable for time stepping.
 
@@ -380,9 +496,7 @@ def compile_rhs(exprs, params, n_lags: int):
     lag values indexed [lag, comp] and returns a list of floats.
     """
 
-    def gen(node: Expr) -> str:
-        if isinstance(node, Num):
-            return repr(node.value)
+    def leaf(node) -> str:
         if isinstance(node, Param):
             try:
                 return repr(float(params[node.name]))
@@ -390,21 +504,31 @@ def compile_rhs(exprs, params, n_lags: int):
                 raise UnknownSymbolError(
                     f"unknown parameter {node.name!r}"
                 ) from None
-        if isinstance(node, State):
-            if node.lag >= n_lags:
-                raise UnknownSymbolError(
-                    f"delay index {node.lag} out of range"
-                )
-            return f"v[{node.lag},{node.comp}]"
-        if isinstance(node, Neg):
-            return f"(-{gen(node.arg)})"
-        if isinstance(node, BinOp):
-            op = "**" if node.op == "^" else node.op
-            return f"({gen(node.left)}{op}{gen(node.right)})"
-        if isinstance(node, Call):
-            return f"{node.fn}({gen(node.arg)})"
-        raise TypeError(f"not an expression node: {node!r}")
+        if node.lag >= n_lags:
+            raise UnknownSymbolError(f"delay index {node.lag} out of range")
+        return f"v[{node.lag},{node.comp}]"
 
-    body = "[" + ", ".join(gen(e) for e in exprs) + "]"
-    code = compile(f"lambda v: {body}", "<rhs>", "eval")
-    return eval(code, dict(_NUM_FUNCS))
+    body = ", ".join(_source(e, leaf) for e in exprs)
+    return _compile(f"lambda v: [{body}]")
+
+
+def compile_rows(rows, names):
+    """Compile rows of trees into one callable per row, for evaluation at a
+    constant state.
+
+    Each callable takes (x, p) and returns the row's values as a list:
+    x[comp] is read for every lag of component comp, and p holds the
+    parameter values in the order of `names`.
+    """
+    index = {name: i for i, name in enumerate(names)}
+
+    def leaf(node) -> str:
+        if isinstance(node, Param):
+            return f"p[{index[node.name]}]"
+        return f"x[{node.comp}]"
+
+    lambdas = ", ".join(
+        "lambda x, p: [" + ", ".join(_source(e, leaf) for e in row) + "]"
+        for row in rows
+    )
+    return _compile(f"({lambdas},)")

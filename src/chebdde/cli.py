@@ -7,6 +7,7 @@ on stderr; usage problems exit 2.
 """
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -153,11 +154,14 @@ def _finite_float(text):
 
 def _complex_arg(text):
     try:
-        return complex(text.replace("i", "j").replace("I", "j").replace(" ", ""))
+        val = complex(text.replace("i", "j").replace("I", "j").replace(" ", ""))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a complex number like 0.1+2.3i, got {text!r}"
         ) from None
+    if not cmath.isfinite(val):
+        raise argparse.ArgumentTypeError(f"expected a finite complex number, got {text!r}")
+    return val
 
 
 def _int_list(text):
@@ -448,8 +452,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        for text, path in args.func(args):
-            _emit(text, path)
+        # every reported value meets a finiteness check, so numpy's
+        # floating-point warnings would only put noise ahead of the payload
+        with np.errstate(all="ignore"):
+            for text, path in args.func(args):
+                _emit(text, path)
     except ChebddeError as exc:
         sys.stderr.write(json.dumps(_plain(exc.payload())) + "\n")
         return 1

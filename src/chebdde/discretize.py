@@ -13,7 +13,6 @@ State layout is (y_0, y_1, ..., y_n) blocked by node, each block of size d.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -146,8 +145,7 @@ class CharFnN:
 
     Delta_n(lambda) = lambda I - sum_k C_k v_k(lambda), where v_k is the value
     at -tau_k of the polynomial interpolating (1, (D - lambda I)^{-1} D 1).
-    Lag solves are LU-factored once per lambda and cached; the cache is lock
-    protected so instances can be shared across threads.
+    Lag solves are LU-factored once per lambda and cached.
     """
 
     def __init__(
@@ -172,7 +170,6 @@ class CharFnN:
             zip(linear.delays, _lag_rows(mesh, linear.delays))
         )
         self._cache = {}
-        self._lock = threading.Lock()
 
     def with_param(self, name: str, value: float) -> "CharFnN":
         """Rebuild at a changed parameter: the equilibrium is re-solved from
@@ -194,8 +191,7 @@ class CharFnN:
     def lag_solve(self, lam: complex) -> np.ndarray:
         """Cached x(lambda) = (D - lambda I)^{-1} D 1 with a conditioning guard."""
         lam = complex(lam)
-        with self._lock:
-            hit = self._cache.get(lam)
+        hit = self._cache.get(lam)
         if hit is not None:
             return hit[1]
         mat = self.diff.D - lam * np.eye(self.n)
@@ -208,17 +204,15 @@ class CharFnN:
                 f"(rcond={rcond:.2e}); lambda sits near a spurious eigenvalue of D"
             )
         x = lu_solve((lu, piv), self._d_one)
-        with self._lock:
-            if len(self._cache) > 512:
-                self._cache.clear()
-            self._cache[lam] = ((lu, piv), x)
+        if len(self._cache) > 512:
+            self._cache.clear()
+        self._cache[lam] = ((lu, piv), x)
         return x
 
     def _lu(self, lam: complex):
         lam = complex(lam)
         self.lag_solve(lam)
-        with self._lock:
-            return self._cache[lam][0]
+        return self._cache[lam][0]
 
     def _as_result(self, mat: np.ndarray):
         return mat[0, 0] if self.dim == 1 else mat

@@ -2,9 +2,11 @@
 
 A model is a d-dimensional system x'(t) = f(x(t-tau_0), ..., x(t-tau_K)) with
 point delays scaled so the largest is 1, right-hand sides given as expression
-trees, and a real parameter map. Linearization and equilibria are computed
-from the expression trees via truncated Taylor jets, so the coefficients are
-exact derivatives, not difference quotients.
+trees, and a real parameter map. Equilibria and linearizations come from
+symbolic first and second derivatives of the expression trees, compiled once
+per model, so the coefficients are exact derivatives, not difference
+quotients. The second- and third-order forms of the Hopf normal form are
+still taken with truncated Taylor jets.
 """
 
 from __future__ import annotations
@@ -18,15 +20,18 @@ import numpy as np
 
 from ._expr import (
     Expr,
+    Param,
+    State,
+    compile_rows,
+    diff,
     eval_jet3,
-    evaluate,
     param_names,
     parse_expr,
     state_symbols,
     to_text,
 )
 from ._jets import Jet3
-from .errors import ConvergenceError, UnknownSymbolError
+from .errors import ConvergenceError, EvalDomainError, UnknownSymbolError
 
 __all__ = [
     "DdeModel",
@@ -48,6 +53,60 @@ __all__ = [
 ]
 
 
+class _Derivatives:
+    """The rhs and its first and second derivatives at a constant state,
+    differentiated symbolically and compiled once per model.
+
+    Slot i = lag * dim + comp stands for x_comp(t - tau_lag). Parameter
+    values are arguments, so one instance serves every parameter point.
+    """
+
+    def __init__(self, dim: int, n_lags: int, trees, names):
+        self.shape = (dim, n_lags, dim)
+        self.names = tuple(names)
+        self.texts = tuple(to_text(tree) for tree in trees)
+        slots = [State(comp, lag) for lag in range(n_lags) for comp in range(dim)]
+        params = [Param(name) for name in self.names]
+        first, second = [], []
+        for tree in trees:
+            grad = [diff(tree, s) for s in slots]
+            first.append([tree, *grad])
+            second.append(
+                [diff(tree, a) for a in params]
+                + [diff(g, s) for g in grad for s in slots]
+                + [diff(g, a) for g in grad for a in params]
+            )
+        self._first = compile_rows(first, self.names)
+        self._second = compile_rows(second, self.names)
+
+    def _rows(self, fns, x, params) -> np.ndarray:
+        x = [float(v) for v in x]
+        p = [float(params[name]) for name in self.names]
+        rows = []
+        for fn, text in zip(fns, self.texts):
+            try:
+                rows.append(fn(x, p))
+            except (ZeroDivisionError, ValueError, OverflowError) as exc:
+                raise EvalDomainError(str(exc), text) from None
+        return np.array(rows, dtype=float)
+
+    def first(self, x, params):
+        """f, shape (d,), and df/dv, shape (d, K, d) indexed [row, lag, comp]."""
+        rows = self._rows(self._first, x, params)
+        return rows[:, 0], rows[:, 1:].reshape(self.shape)
+
+    def second(self, x, params):
+        """df/dalpha (d, P), d2f/dv dv' (d, m, m) and d2f/dv dalpha (d, m, P)
+        over the m = K d slots and the P parameters."""
+        d, n_lags, _ = self.shape
+        m, n_par = n_lags * d, len(self.names)
+        rows = self._rows(self._second, x, params)
+        f_alpha, rest = rows[:, :n_par], rows[:, n_par:]
+        hess = rest[:, : m * m].reshape(d, m, m)
+        mixed = rest[:, m * m :].reshape(d, m, n_par)
+        return f_alpha, hess, mixed
+
+
 @dataclass(frozen=True)
 class DdeModel:
     dim: int
@@ -59,6 +118,8 @@ class DdeModel:
     hint_fn: Optional[Callable[[dict], tuple]] = field(
         default=None, repr=False, compare=False
     )
+    # compiled derivatives of rhs; shared by every parameter point
+    derivs: Optional[_Derivatives] = field(default=None, repr=False, compare=False)
 
     def with_params(self, **overrides) -> "DdeModel":
         """New model with some parameter values replaced."""
@@ -76,6 +137,7 @@ class DdeModel:
             params=params,
             equilibrium_hint=hint,
             hint_fn=self.hint_fn,
+            derivs=self.derivs,
         )
 
     def rhs_text(self) -> list:
@@ -146,6 +208,7 @@ def make_model(
         params=params,
         equilibrium_hint=hint,
         hint_fn=hint_fn,
+        derivs=_Derivatives(dim, len(delays), trees, params),
     )
 
 
@@ -214,20 +277,9 @@ def get_model(name_or_path: str) -> DdeModel:
     return load_model(name_or_path)
 
 
-def _collapsed_env(model: DdeModel, x) -> dict:
-    env = {}
-    for tree in model.rhs:
-        for comp, lag in state_symbols(tree):
-            env[(comp, lag)] = float(x[comp])
-    return env
-
-
 def collapsed_rhs(model: DdeModel, x) -> np.ndarray:
     """Right-hand side with every lag evaluated at the same constant state."""
-    env = _collapsed_env(model, x)
-    return np.array(
-        [evaluate(tree, env, model.params) for tree in model.rhs], dtype=float
-    )
+    return model.derivs.first(x, model.params)[0]
 
 
 def equilibrium_solve(model: DdeModel, guess=None) -> np.ndarray:
@@ -240,33 +292,18 @@ def equilibrium_solve(model: DdeModel, guess=None) -> np.ndarray:
     if x.shape != (model.dim,):
         raise ValueError(f"guess must have length {model.dim}")
     for _ in range(50):
-        f = collapsed_rhs(model, x)
+        f, grad = model.derivs.first(x, model.params)
         if np.max(np.abs(f)) < 1e-12 * (1.0 + np.max(np.abs(x))):
             return x
-        jac = _collapsed_jacobian(model, x)
         try:
-            step = np.linalg.solve(jac, f)
+            # the collapsed Jacobian: every lag of a component moves alike
+            step = np.linalg.solve(grad.sum(axis=1), f)
         except np.linalg.LinAlgError:
             raise ConvergenceError(
                 "singular collapsed Jacobian during equilibrium Newton"
             ) from None
         x -= step
     raise ConvergenceError("equilibrium Newton did not converge in 50 iterations")
-
-
-def _collapsed_jacobian(model: DdeModel, x) -> np.ndarray:
-    d = model.dim
-    jac = np.zeros((d, d))
-    for r, tree in enumerate(model.rhs):
-        syms = state_symbols(tree)
-        base = {key: complex(x[key[0]]) for key in syms}
-        for s in range(d):
-            direction = {key: 1.0 for key in syms if key[0] == s}
-            if not direction:
-                continue
-            jet = eval_jet3(tree, base, [direction], model.params)
-            jac[r, s] = jet.c[1].real
-    return jac
 
 
 def linearize(model: DdeModel, xbar) -> LinearPart:
@@ -277,60 +314,39 @@ def linearize(model: DdeModel, xbar) -> LinearPart:
     Jacobian) they are omitted and consumers fall back to differencing.
     """
     xbar = np.asarray(xbar, dtype=float)
-    d = model.dim
-    mats = [np.zeros((d, d)) for _ in model.delays]
-    for r, tree in enumerate(model.rhs):
-        syms = state_symbols(tree)
-        base = {key: complex(xbar[key[0]]) for key in syms}
-        for comp, lag in syms:
-            jet = eval_jet3(tree, base, [{(comp, lag): 1.0}], model.params)
-            mats[lag][r, comp] = jet.c[1].real
+    _, grad = model.derivs.first(xbar, model.params)
+    mats = tuple(np.moveaxis(grad, 1, 0).copy())
     try:
         derivs = param_jacobians(model, xbar)
     except np.linalg.LinAlgError:
         derivs = None
-    return LinearPart(delays=model.delays, mats=tuple(mats), param_derivs=derivs)
+    return LinearPart(delays=model.delays, mats=mats, param_derivs=derivs)
 
 
 def param_jacobians(model: DdeModel, xbar) -> dict:
     """Total derivatives d C_k / d alpha of the delay-block Jacobians, one
     tuple of d x d matrices per parameter name.
 
-    Differentiates along the equilibrium branch through xbar: the explicit
-    dependence of the coefficients on the parameter plus the chain term
-    through the induced equilibrium drift d xbar / d alpha = -A^{-1} df/da
-    with A the collapsed Jacobian. Raises numpy.linalg.LinAlgError when A is
-    singular (a fold, where the branch has no smooth parametrization).
+    Differentiates along the equilibrium branch through xbar: the mixed
+    derivative d2f/dv dalpha plus the chain term through the induced
+    equilibrium drift d xbar / d alpha = -A^{-1} df/dalpha, with A the
+    collapsed Jacobian. Raises numpy.linalg.LinAlgError when A is singular
+    (a fold, where the branch has no smooth parametrization).
     """
+    if not model.params:
+        return {}
     xbar = np.asarray(xbar, dtype=float)
-    d = model.dim
-    base = _history_base(model, xbar)
-    a = _collapsed_jacobian(model, xbar)
-    out = {}
-    for name, value in model.params.items():
-        seeded = dict(model.params)
-        seeded[name] = Jet3(float(value), 1.0)
-        grad = np.array(
-            [eval_jet3(tree, base, [{}], seeded).c[1].real for tree in model.rhs]
-        )
-        dxbar = -np.linalg.solve(a, grad)
-        drift = {key: complex(dxbar[key[0]]) for key in base}
-        # c2 of the pure parameter jet, subtracted below to isolate the
-        # mixed state/parameter term of the joint jet
-        alpha_c2 = [eval_jet3(tree, base, [{}], seeded).c[2] for tree in model.rhs]
-        mats = []
-        for lag in range(len(model.delays)):
-            dmat = np.zeros((d, d))
-            for comp in range(d):
-                unit = {(comp, lag): 1.0}
-                chain = bilinear_form(model, xbar, unit, drift)
-                for r, tree in enumerate(model.rhs):
-                    joint = eval_jet3(tree, base, [unit], seeded).c[2]
-                    pure = eval_jet3(tree, base, [unit], model.params).c[2]
-                    dmat[r, comp] = (joint - pure - alpha_c2[r] + chain[r]).real
-            mats.append(dmat)
-        out[name] = tuple(mats)
-    return out
+    d, n_lags = model.dim, len(model.delays)
+    _, grad = model.derivs.first(xbar, model.params)
+    f_alpha, hess, mixed = model.derivs.second(xbar, model.params)
+    drift = -np.linalg.solve(grad.sum(axis=1), f_alpha)
+    # the drift moves every lag of a component alike
+    hess_collapsed = hess.reshape(d, -1, n_lags, d).sum(axis=2)
+    total = (mixed + hess_collapsed @ drift).reshape(d, n_lags, d, -1)
+    return {
+        name: tuple(total[:, lag, :, j].copy() for lag in range(n_lags))
+        for j, name in enumerate(model.derivs.names)
+    }
 
 
 def _history_base(model: DdeModel, xbar) -> dict:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -298,3 +299,27 @@ def test_out_leaves_no_temp_file(capsys, tmp_path):
     assert code == 2
     assert err.startswith("error:") and "absent" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["mesh.csv"]
+
+
+def test_nonfinite_lambda_exits_2(capsys):
+    for text in ("nan", "1e400", "0.5+1e400i"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["charfn", "--model", "blowflies", "--n", "6", "--lambda", text])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --lambda: expected a finite complex number" in err
+        assert "Traceback" not in err
+
+
+def test_floating_point_warnings_stay_off_stderr(capsys, tmp_path):
+    # the Newton iterate overflows numpy's det before the finiteness check
+    # stops it; warnings are errors here, so one that escapes fails the run
+    argv = ["lyap", "--model", "fluidflow", "--param", "k", "--omega", "1e300",
+            "--alpha", "1", "--n", "4", "--out", str(tmp_path / "lyap.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "no_convergence"
