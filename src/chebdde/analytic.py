@@ -7,6 +7,13 @@ family x' = b1 x(t) + b2 x(t-1): Hopf boundary curves (exact and discretized),
 the (b1, b2) <-> (mu, beta) change of parameters for the delayed-recruitment
 interpretation, crossing speeds, and first Lyapunov coefficients along the
 boundary in closed form.
+
+The discretized curves need the last entry of (D - lambda I)^{-p} D 1 at many
+shifts lambda. The differentiation block D is factored once per degree in
+real Schur form D = Z T Z^T, and each batch of shifts is one vectorised back
+substitution against T, so a whole chart costs a handful of batched solves.
+No eigendecomposition of D is used: D is far from normal and its
+eigenvectors are ill-conditioned, while Z is orthogonal.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import schur
 
 from .cheb_mesh import diff_matrix, make_mesh
 from .errors import SingularityError, UnknownSymbolError
@@ -38,6 +46,7 @@ __all__ = [
     "lambda_prime_n2",
     "lambda_prime_n2_re",
     "boundary_point",
+    "boundary_points",
     "admissible_omegas",
 ]
 
@@ -132,33 +141,95 @@ def dde_boundary(omega: float) -> tuple:
     return (w * math.cos(w) / s, -w / s)
 
 
+_CHUNK = 256  # shifts per back-substitution sweep; bounds the work array at n x 256
+
+
 @lru_cache(maxsize=64)
-def _diff_op(n: int):
-    mesh = make_mesh(n)
-    return diff_matrix(mesh)
+def _schur_factor(n: int):
+    """Real Schur form D = Z T Z^T of the degree-n differentiation block.
+
+    Returns T, its diagonal blocks as (start, stop) row ranges from the last
+    one up (1 x 1 for a real eigenvalue, 2 x 2 for a complex pair), the
+    column Z^T D 1 and the last row of Z.
+    """
+    diff = diff_matrix(make_mesh(n))
+    t, z = schur(diff.D, output="real")
+    blocks, i = [], 0
+    while i < n:
+        size = 2 if i + 1 < n and t[i + 1, i] != 0.0 else 1
+        blocks.append((i, i + size))
+        i += size
+    rhs = (z.T @ -diff.d0)[:, None]  # D 1 = -d0
+    return t, tuple(reversed(blocks)), rhs, z[-1].copy()
 
 
-def lag_solve_last(n: int, lam: complex, power: int = 1) -> complex:
-    """Last entry of (D - lambda I)^{-power} D 1 on the degree-n mesh."""
-    diff = _diff_op(n)
-    mat = diff.D - complex(lam) * np.eye(n)
-    vec = -diff.d0  # D applied to the all-ones vector
-    for _ in range(power):
-        vec = np.linalg.solve(mat, vec)
-    return complex(vec[-1])
+def _back_substitute(t, blocks, shifts: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Columns x_j of (T - s_j I) x_j = rhs_j for quasi-triangular T, every
+    shift in one sweep over the diagonal blocks; a 2 x 2 block is solved by
+    Cramer's rule. rhs is one column, shape (n, 1), or one per shift."""
+    out = np.empty((t.shape[0], shifts.size), dtype=complex)
+    for lo, hi in blocks:
+        r = rhs[lo:hi] - t[lo:hi, hi:] @ out[hi:]
+        a = t[lo, lo] - shifts
+        if hi - lo == 1:
+            out[lo] = r[0] / a
+        else:
+            b, c = t[lo, lo + 1], t[lo + 1, lo]
+            d = t[lo + 1, lo + 1] - shifts
+            det = a * d - b * c
+            out[lo] = (d * r[0] - b * r[1]) / det
+            out[lo + 1] = (a * r[1] - c * r[0]) / det
+    return out
 
 
-def ps_boundary(n: int, omega: float) -> tuple:
+def lag_solve_last(n: int, lam, power: int = 1):
+    """Last entry of (D - lambda I)^{-power} D 1 on the degree-n mesh, for one
+    shift (returns a complex) or an array of shifts (returns an array).
+
+    D = Z T Z^T is factored once per degree in real Schur form (cached), so
+    the entry is Z[-1, :] (T - lambda I)^{-power} Z^T D 1: quasi-triangular
+    back substitutions vectorised over chunks of shifts, O(n^2) per shift
+    and backward stable because Z is orthogonal. Keeping the factor real
+    keeps Im zeta relatively accurate where it is small (lambda near 0) and
+    the values at conjugate shifts exact conjugates, as a dense solve does.
+    """
+    t, blocks, rhs, last = _schur_factor(n)
+    lam = np.asarray(lam, dtype=complex)
+    shifts = lam.ravel()
+    out = np.empty(shifts.size, dtype=complex)
+    for start in range(0, shifts.size, _CHUNK):
+        chunk = shifts[start : start + _CHUNK]
+        vec = rhs
+        for _ in range(power):
+            vec = _back_substitute(t, blocks, chunk, vec)
+        out[start : start + _CHUNK] = last @ vec
+    return complex(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
+
+
+def _raise_at(bad, omega, message: str) -> None:
+    """Raise SingularityError naming the first omega where `bad` holds."""
+    bad = np.ravel(bad)
+    if bad.any():
+        raise SingularityError(message.format(w=float(np.ravel(omega)[bad.argmax()])))
+
+
+def _ps_coeffs(n: int, w: np.ndarray) -> tuple:
+    """(b1, b2) of the degree-n boundary at the frequencies w, NaN where
+    Im zeta_n vanishes, and the mask of those frequencies."""
+    zn = lag_solve_last(n, 1j * w)
+    singular = np.abs(zn.imag) < 1e-13 * np.maximum(1.0, np.abs(zn))
+    im = np.where(singular, np.nan, zn.imag)
+    return -w * zn.real / im, w / im, singular
+
+
+def ps_boundary(n: int, omega) -> tuple:
     """Hopf boundary of the degree-n collocation ODE, from the last entry of
     zeta = (D - i omega I)^{-1} D 1: b1 = -omega Re zeta_n / Im zeta_n,
-    b2 = omega / Im zeta_n."""
-    w = float(omega)
-    zn = lag_solve_last(n, 1j * w)
-    if abs(zn.imag) < 1e-13 * max(1.0, abs(zn)):
-        raise SingularityError(
-            f"discrete boundary is singular at omega={w} (Im zeta_n = 0)"
-        )
-    return (-w * zn.real / zn.imag, w / zn.imag)
+    b2 = omega / Im zeta_n. One omega gives floats, an array gives arrays."""
+    w = np.asarray(omega, dtype=float)
+    b1, b2, singular = _ps_coeffs(n, w)
+    _raise_at(singular, w, "discrete boundary is singular at omega={w} (Im zeta_n = 0)")
+    return (float(b1), float(b2)) if w.ndim == 0 else (b1, b2)
 
 
 def to_mu_beta(b1: float, b2: float) -> tuple:
@@ -177,14 +248,17 @@ def to_mu_beta(b1: float, b2: float) -> tuple:
     return (-b1, beta)
 
 
-def _g_derivatives(b1: float, b2: float) -> tuple:
+def _g_derivatives(b1, b2) -> tuple:
     """Second and third derivative of the recruitment nonlinearity at the
     positive equilibrium, mu ln(beta/mu) - 2 mu and -mu ln(beta/mu) + 3 mu,
     rewritten via mu = -b1 and mu ln(beta/mu) = -(b1 + b2) so they stay
-    finite at the boundary ends where beta itself overflows."""
-    if b1 >= 0.0:
+    finite at the boundary ends where beta itself overflows. Elementwise on
+    arrays; the error names the first b1 >= 0."""
+    bad = np.ravel(np.asarray(b1) >= 0.0)
+    if bad.any():
         raise ValueError(
-            f"b1={b1} >= 0: interpretation as population parameters needs mu > 0"
+            f"b1={float(np.ravel(b1)[bad.argmax()])} >= 0: "
+            "interpretation as population parameters needs mu > 0"
         )
     return (b1 - b2, -2.0 * b1 + b2)
 
@@ -211,31 +285,30 @@ def c0_blowfly(omega: float) -> complex:
     return 0.5 * d3 * b10 - d2 * d2 / (b1 + b2) * b10 + 0.5 * d2 * d2 * b20
 
 
-def cn_blowfly(n: int, omega: float) -> complex:
-    """First Lyapunov coefficient along the degree-n discretized boundary.
+def cn_blowfly(n: int, omega):
+    """First Lyapunov coefficient along the degree-n discretized boundary; one
+    omega gives a complex, an array gives an array.
 
     The second amplitude denominator uses the resonant lag solve at 2 i omega,
     mirroring the exact B20; with the solve at i omega the coefficient would
     not converge to the exact one.
     """
-    w = float(omega)
+    w = np.asarray(omega, dtype=float)
     b1, b2 = ps_boundary(n, w)
-    if abs(b1 + b2) < 1e-12:
-        raise SingularityError(f"transcritical point at omega={w}: b1 + b2 = 0")
+    _raise_at(np.abs(b1 + b2) < 1e-12, w, "transcritical point at omega={w}: b1 + b2 = 0")
     d2, d3 = _g_derivatives(b1, b2)
     z_plus = lag_solve_last(n, 1j * w)
     z_minus = lag_solve_last(n, -1j * w)
     z_sq = lag_solve_last(n, 1j * w, power=2)
     den1 = 1.0 - b2 * z_sq
-    if abs(den1) < 1e-12:
-        raise SingularityError(f"B1n denominator vanishes at omega={w}")
+    _raise_at(np.abs(den1) < 1e-12, w, "B1n denominator vanishes at omega={w}")
     b1n = z_plus * z_plus * z_minus / den1
     z2 = lag_solve_last(n, 2j * w)
     den2 = 2j * w - b1 - b2 * z2
-    if abs(den2) < 1e-12:
-        raise SingularityError(f"B2n denominator vanishes at omega={w}")
+    _raise_at(np.abs(den2) < 1e-12, w, "B2n denominator vanishes at omega={w}")
     b2n = z2 / den2 * b1n
-    return 0.5 * d3 * b1n - d2 * d2 / (b1 + b2) * b1n + 0.5 * d2 * d2 * b2n
+    c = 0.5 * d3 * b1n - d2 * d2 / (b1 + b2) * b1n + 0.5 * d2 * d2 * b2n
+    return complex(c) if w.ndim == 0 else c
 
 
 def _b1_n2(omega: float) -> float:
@@ -279,20 +352,47 @@ class BoundaryPoint:
     re_c: float
 
 
-def boundary_point(omega: float, n: Optional[int] = None) -> BoundaryPoint:
-    """Chart row at omega: exact curve when n is None, else the degree-n one.
+def boundary_points(omegas, n: Optional[int] = None) -> list:
+    """Chart rows at an array of omegas: the exact curve when n is None, else
+    the degree-n one, whose rows come from a handful of batched lag solves.
 
     Raises SingularityError near poles of the curve and ValueError where the
     (mu, beta) interpretation fails (b1 >= 0).
     """
+    w = np.asarray(omegas, dtype=float).ravel()
     if n is None:
-        b1, b2 = dde_boundary(omega)
-        c = c0_blowfly(omega)
+        curve = [(*dde_boundary(x), c0_blowfly(x).real) for x in w]
     else:
-        b1, b2 = ps_boundary(n, omega)
-        c = cn_blowfly(n, omega)
-    mu, beta = to_mu_beta(b1, b2)
-    return BoundaryPoint(omega=float(omega), b1=b1, b2=b2, mu=mu, beta=beta, re_c=c.real)
+        curve = zip(*ps_boundary(n, w), cn_blowfly(n, w).real)
+    points = []
+    for x, (b1, b2, re_c) in zip(w, curve):
+        b1, b2 = float(b1), float(b2)
+        mu, beta = to_mu_beta(b1, b2)
+        points.append(BoundaryPoint(float(x), b1, b2, mu, beta, float(re_c)))
+    return points
+
+
+def boundary_point(omega: float, n: Optional[int] = None) -> BoundaryPoint:
+    """Chart row at one omega; see boundary_points."""
+    return boundary_points([omega], n)[0]
+
+
+def _discrete_poles(n: int, lo: float, hi: float, steps: int) -> np.ndarray:
+    """Sign changes of Im zeta_n on a fine scan of [lo, hi], each bisected 60
+    times; all brackets halve together, one batched lag solve per halving."""
+    scan = np.linspace(lo, hi, max(steps * 8, 800))
+    vals = lag_solve_last(n, 1j * scan).imag
+    fa, fb = vals[:-1], vals[1:]
+    at = np.flatnonzero((fa == 0.0) | ((fa < 0) != (fb < 0)))
+    if at.size == 0:
+        return np.empty(0)
+    x, y, neg = scan[at], scan[at + 1], fa[at] < 0
+    for _ in range(60):
+        m = 0.5 * (x + y)
+        same = (lag_solve_last(n, 1j * m).imag < 0) == neg
+        x = np.where(same, m, x)
+        y = np.where(same, y, m)
+    return 0.5 * (x + y)
 
 
 def admissible_omegas(
@@ -300,38 +400,27 @@ def admissible_omegas(
 ) -> np.ndarray:
     """Uniform omega grid with exclusion zones around curve singularities.
 
-    Singular abscissas are zeros of sin(omega) for the exact curve and sign
+    Singular abscissas are the multiples k pi, k >= 1, of [lo, hi] for the
+    exact curve (each grid point is tested against the nearest one) and sign
     changes of Im zeta_n for the discretized one, located by bisection on a
     fine scan; points within `margin` of one are dropped, as are points where
-    the (mu, beta) interpretation fails.
+    the boundary is singular or the (mu, beta) interpretation fails (b1 >= 0).
     """
     grid = np.linspace(lo, hi, steps)
+    near = np.zeros(grid.shape, dtype=bool)
     if n is None:
-        sing = [k * math.pi for k in range(max(1, int(lo / math.pi)), int(hi / math.pi) + 1)]
+        first, last = max(1, int(lo / math.pi)), int(hi / math.pi)
+        if first <= last:
+            k = np.clip(np.round(grid / math.pi), float(first), float(last))
+            near = np.abs(grid - k * math.pi) <= margin
+        b1 = np.full(grid.shape, np.nan)
+        for i, w in enumerate(grid):
+            try:
+                b1[i] = dde_boundary(w)[0]
+            except SingularityError:
+                pass
     else:
-        sing = []
-        scan = np.linspace(lo, hi, max(steps * 8, 800))
-        vals = [lag_solve_last(n, 1j * w).imag for w in scan]
-        for a, b, fa, fb in zip(scan, scan[1:], vals, vals[1:]):
-            if fa == 0.0 or (fa < 0) != (fb < 0):
-                x, y = a, b
-                for _ in range(60):
-                    m = 0.5 * (x + y)
-                    fm = lag_solve_last(n, 1j * m).imag
-                    if (fm < 0) == (fa < 0):
-                        x = m
-                    else:
-                        y = m
-                sing.append(0.5 * (x + y))
-    keep = []
-    for w in grid:
-        if any(abs(w - s) <= margin for s in sing):
-            continue
-        try:
-            b1, _ = dde_boundary(w) if n is None else ps_boundary(n, w)
-        except SingularityError:
-            continue
-        if b1 >= 0.0:
-            continue
-        keep.append(w)
-    return np.array(keep)
+        for pole in _discrete_poles(n, lo, hi, steps):
+            near |= np.abs(grid - pole) <= margin
+        b1, _, _ = _ps_coeffs(n, grid)  # NaN where the boundary is singular
+    return grid[~near & (b1 < 0.0)]

@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from ._expr import evaluate, parse_expr
-from .analytic import admissible_omegas, boundary_point, delta0_eval, make_charfn0
+from .analytic import admissible_omegas, boundary_points, delta0_eval, make_charfn0
 from .cheb_mesh import diff_matrix, make_mesh
 from .discretize import (
     assemble_An,
@@ -338,8 +338,8 @@ def _cmd_chart_blowfly(args):
     header = ["source", "omega", "b1", "b2", "mu", "beta_over_mu", "re_c"]
     rows = []
     for source, degree in (("dde", None), ("discretized", args.n)):
-        for omega in admissible_omegas(args.omega_min, args.omega_max, args.steps, degree):
-            pt = boundary_point(omega, degree)
+        omegas = admissible_omegas(args.omega_min, args.omega_max, args.steps, degree)
+        for pt in boundary_points(omegas, degree):
             rows.append((source, pt.omega, pt.b1, pt.b2, pt.mu, pt.beta / pt.mu, pt.re_c))
     return [(_csv(header, rows), args.out)]
 

@@ -88,7 +88,15 @@ class _Derivatives:
                 rows.append(fn(x, p))
             except (ZeroDivisionError, ValueError, OverflowError) as exc:
                 raise EvalDomainError(str(exc), text) from None
-        return np.array(rows, dtype=float)
+        try:
+            return np.array(rows, dtype=float)
+        except TypeError:
+            # Python's ** gives a complex number for a fractional power of a
+            # negative base instead of raising
+            for row, text in zip(rows, self.texts):
+                if any(isinstance(v, complex) for v in row):
+                    raise EvalDomainError("complex result", text) from None
+            raise
 
     def first(self, x, params):
         """f, shape (d,), and df/dv, shape (d, K, d) indexed [row, lag, comp]."""

@@ -3,22 +3,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chebdde import analytic
 from chebdde.analytic import (
     admissible_omegas,
     boundary_point,
+    boundary_points,
     c0_blowfly,
     cn_blowfly,
     dde_boundary,
     delta0_dalpha,
     delta0_dlambda,
     delta0_eval,
+    lag_solve_last,
     lambda_prime_n2,
     lambda_prime_n2_re,
     make_charfn0,
     ps_boundary,
     to_mu_beta,
 )
+from chebdde.cheb_mesh import diff_matrix, make_mesh
 from chebdde.discretize import charfn_eval, make_charfn
 from chebdde.errors import SingularityError
 from chebdde.model import blowflies, fluidflow, make_model
@@ -30,6 +36,52 @@ B2 = MU * (1.0 - math.log(BETA / MU))
 
 def scalar_linear(b1, b2):
     return make_model(1, (0.0, 1.0), ("b1*x0@0 + b2*x0@1",), {"b1": b1, "b2": b2})
+
+
+def dense_lag_solve_last(n, lam, power=1):
+    """Reference for lag_solve_last: one dense solve of D - lambda I per shift
+    and power, with the same scalar-or-array interface."""
+    diff = diff_matrix(make_mesh(n))
+    lam = np.asarray(lam, dtype=complex)
+    out = []
+    for s in lam.ravel():
+        vec = -diff.d0
+        for _ in range(power):
+            vec = np.linalg.solve(diff.D - s * np.eye(n), vec)
+        out.append(vec[-1])
+    out = np.array(out)
+    return complex(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
+
+
+def per_point_omegas(lo, hi, steps, n, margin=1e-3):
+    """The per-point form of admissible_omegas for a degree n: scalar dense
+    solves on the scan, one bisection per bracket, one test per grid point.
+    Returns the kept grid and the located poles."""
+    def im_zeta(w):
+        return dense_lag_solve_last(n, 1j * w).imag
+
+    scan = np.linspace(lo, hi, max(steps * 8, 800))
+    vals = [im_zeta(w) for w in scan]
+    poles = []
+    for a, b, fa, fb in zip(scan, scan[1:], vals, vals[1:]):
+        if fa == 0.0 or (fa < 0) != (fb < 0):
+            x, y = a, b
+            for _ in range(60):
+                m = 0.5 * (x + y)
+                if (im_zeta(m) < 0) == (fa < 0):
+                    x = m
+                else:
+                    y = m
+            poles.append(0.5 * (x + y))
+    keep = []
+    for w in np.linspace(lo, hi, steps):
+        if any(abs(w - s) <= margin for s in poles):
+            continue
+        zn = dense_lag_solve_last(n, 1j * w)
+        if abs(zn.imag) < 1e-13 * max(1.0, abs(zn)) or -w * zn.real / zn.imag >= 0.0:
+            continue
+        keep.append(w)
+    return np.array(keep), poles
 
 
 def test_delta0_blowflies():
@@ -239,3 +291,93 @@ def test_boundary_point_exact_curve():
     assert pt.b1 == b1 and pt.b2 == b2
     assert abs(pt.mu + b1) < 1e-15
     assert pt.re_c == c0_blowfly(2.0).real
+
+
+@settings(max_examples=80)
+@given(
+    n=st.integers(1, 48),
+    power=st.sampled_from([1, 2]),
+    shifts=st.lists(
+        st.tuples(st.floats(0.0, 2.0), st.floats(-30.0, 30.0)), min_size=1, max_size=12
+    ),
+)
+def test_lag_solve_last_matches_dense_solves(n, power, shifts):
+    lam = np.array([complex(sigma, omega) for sigma, omega in shifts])
+    batch = lag_solve_last(n, lam, power)
+    want = dense_lag_solve_last(n, lam, power)
+    assert np.all(np.abs(batch - want) <= 1e-11 * np.abs(want))
+    for got, shift in zip(batch, lam):
+        single = lag_solve_last(n, shift, power)
+        assert isinstance(single, complex)
+        assert abs(got - single) <= 1e-13 * abs(single)
+    # D is real: zeta(-i omega) = conj zeta(i omega)
+    up = lag_solve_last(n, 1j * lam.imag, power)
+    down = lag_solve_last(n, -1j * lam.imag, power)
+    assert np.all(np.abs(down - up.conj()) <= 1e-13 * np.abs(up))
+
+
+def test_lag_solve_last_keeps_shape_across_chunks():
+    # 600 shifts span three chunks of the batched back substitution
+    lam = (np.linspace(0.0, 2.0, 600) + 1j * np.linspace(-30.0, 30.0, 600)).reshape(20, 30)
+    got = lag_solve_last(12, lam, 2)
+    assert got.shape == (20, 30)
+    want = np.array([[lag_solve_last(12, x, 2) for x in row] for row in lam])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def test_batched_boundary_names_first_singular_omega():
+    # the n=2 curve has its pole at omega = 4
+    b1, b2 = ps_boundary(2, np.array([1.0, 2.0]))
+    assert b1.shape == b2.shape == (2,)
+    assert (b1[1], b2[1]) == ps_boundary(2, 2.0)
+    with pytest.raises(SingularityError, match=r"omega=4\.0 "):
+        ps_boundary(2, np.array([1.0, 4.0, 5.0, 4.0]))
+    with pytest.raises(SingularityError, match=r"omega=4\.0 "):
+        cn_blowfly(2, np.array([2.0, 4.0]))
+
+
+def test_chart_n40_matches_dense_solves(monkeypatch):
+    def chart():
+        omegas = admissible_omegas(1.6, 3.1, 200, n=40)
+        return omegas, boundary_points(omegas, 40)
+
+    omegas, points = chart()
+    monkeypatch.setattr(analytic, "lag_solve_last", dense_lag_solve_last)
+    want_omegas, want_points = chart()
+    assert len(omegas) > 150
+    assert np.array_equal(omegas, want_omegas)
+    for got, want in zip(points, want_points):
+        assert got.omega == want.omega
+        for field in ("b1", "b2", "mu", "beta", "re_c"):
+            ref = getattr(want, field)
+            assert abs(getattr(got, field) - ref) <= 1e-10 * abs(ref)
+
+
+def test_admissible_omegas_across_n3_pole_match_per_point_scan():
+    want, poles = per_point_omegas(2.9, 3.2, 300, 3)
+    assert len(poles) == 1 and abs(poles[0] - 3.02) < 0.01
+    got = admissible_omegas(2.9, 3.2, 300, n=3)
+    assert np.array_equal(got, want)
+
+
+def test_exact_pole_filter_matches_full_list():
+    # the old filter tested every grid point against every k pi in range;
+    # a margin of 2 makes the in-range multiple not always the nearest one
+    for lo, hi, steps, margin in (
+        (0.5, 40.0, 4001, 1e-3),
+        (0.5, 40.0, 4001, 2.0),
+        (0.5, 6.0, 1000, 2.0),
+        (4.0, 20.0, 999, 0.5),
+    ):
+        sing = [k * math.pi for k in range(max(1, int(lo / math.pi)), int(hi / math.pi) + 1)]
+        want = []
+        for w in np.linspace(lo, hi, steps):
+            if any(abs(w - s) <= margin for s in sing):
+                continue
+            try:
+                b1, _ = dde_boundary(w)
+            except SingularityError:
+                continue
+            if b1 < 0.0:
+                want.append(w)
+        assert np.array_equal(admissible_omegas(lo, hi, steps, margin=margin), want)

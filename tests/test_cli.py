@@ -235,6 +235,18 @@ def test_chart_blowfly_pairs_the_curves(capsys):
         assert abs(float(disc[omega][4]) - float(row[4])) < 1e-4 * (1 + float(row[4]))
 
 
+def test_chart_blowfly_wide_window_finishes(capsys):
+    # the exact-curve pole filter must not list every multiple of pi up to 1e9
+    code, out, err = run(capsys, [
+        "chart-blowfly", "--n", "40", "--omega-min", "1.6", "--omega-max", "1e9",
+        "--steps", "3",
+    ])
+    assert code == 0 and err == ""
+    header, rows = rows_of(out)
+    assert [r[0] for r in rows] == ["dde", "discretized"]
+    assert all(math.isfinite(float(v)) for r in rows for v in r[1:])
+
+
 def test_model_file_path_accepted(capsys, tmp_path):
     doc = {"dim": 1, "delays": [0.0, 1.0], "rhs": ["-x0@0 + a*x0@1"],
            "params": {"a": 0.5}, "equilibrium_hint": [0.0]}
@@ -267,6 +279,19 @@ def test_eig_at_zero_mortality_uses_trivial_equilibrium(capsys):
     assert "Traceback" not in err
     _, rows = rows_of(out)
     assert len(rows) == 5
+
+
+def test_complex_power_reports_domain_error(capsys, tmp_path):
+    # a fractional power of a negative base is complex in Python's arithmetic
+    doc = {"dim": 1, "delays": [0.0, 1.0], "rhs": ["x0@1^2.5 - 1 - x0@0"],
+           "params": {}, "equilibrium_hint": [-1]}
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["eig", "--model", str(path), "--n", "4"])
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "domain_error"
+    assert "x0@1^2.5" in payload["message"]
 
 
 def test_missing_model_file_exits_2(capsys, tmp_path):

@@ -92,7 +92,7 @@ def _close(got, want, tol=1e-9):
     return abs(got - float(want)) <= tol * (1.0 + abs(float(want)))
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(
     trees=st.tuples(_guarded_trees(3), _guarded_trees(3)),
     x=st.tuples(st.floats(0.2, 1.5), st.floats(0.2, 1.5)),
