@@ -7,194 +7,4 @@ coefficient and genericity diagnostics, critical-curve continuation,
 convergence studies, and time integration with period estimation.
 """
 
-from .analytic import (
-    BoundaryPoint,
-    CharFn0,
-    admissible_omegas,
-    boundary_point,
-    boundary_points,
-    c0_blowfly,
-    cn_blowfly,
-    dde_boundary,
-    delta0_dalpha,
-    delta0_dlambda,
-    delta0_eval,
-    lambda_prime_n2,
-    lambda_prime_n2_re,
-    make_charfn0,
-    ps_boundary,
-    to_mu_beta,
-)
-from .cheb_mesh import (
-    DiffOp,
-    Mesh,
-    diff_matrix,
-    interpolate,
-    lagrange_eval,
-    lebesgue_constant,
-    make_mesh,
-)
-from .discretize import (
-    CharFnN,
-    PsSystem,
-    assemble_An,
-    charfn_dalpha,
-    charfn_det,
-    charfn_dlambda,
-    charfn_eval,
-    eigenvalues,
-    eigvec_left,
-    eigvec_right,
-    kernel_vector,
-    make_charfn,
-    make_system,
-    projection_apply,
-    replicate,
-    resolvent_apply,
-    rhs,
-)
-from .errors import (
-    ChebddeError,
-    ConditioningError,
-    ContinuationError,
-    ConvergenceError,
-    EvalDomainError,
-    ExprSyntaxError,
-    IntegrationError,
-    NoJumpError,
-    NotPeriodicError,
-    PeriodEstimateError,
-    ResonanceError,
-    SimplicityError,
-    SingularityError,
-    UnknownSymbolError,
-)
-from .hopf import (
-    CurveDiag,
-    HopfPoint,
-    ResonanceVerdict,
-    StabilityCurve,
-    StudyRow,
-    convergence_study,
-    direction_a2,
-    find_hopf,
-    hopf_point,
-    lyapunov_c,
-    nonresonance,
-    trace_hopf_curve,
-    transversality,
-)
-from .model import (
-    DdeModel,
-    LinearPart,
-    bilinear_form,
-    blowflies,
-    collapsed_rhs,
-    equilibrium_solve,
-    fluidflow,
-    get_model,
-    linearize,
-    load_model,
-    make_model,
-    param_jacobians,
-    trilinear_form,
-)
-from .simulate import (
-    Trajectory,
-    bracket_period_doubling,
-    estimate_period,
-    integrate,
-    period_report,
-    sample_history,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundaryPoint",
-    "CharFn0",
-    "CharFnN",
-    "ChebddeError",
-    "ConditioningError",
-    "ContinuationError",
-    "ConvergenceError",
-    "CurveDiag",
-    "DdeModel",
-    "DiffOp",
-    "EvalDomainError",
-    "ExprSyntaxError",
-    "HopfPoint",
-    "IntegrationError",
-    "LinearPart",
-    "Mesh",
-    "NoJumpError",
-    "NotPeriodicError",
-    "PeriodEstimateError",
-    "PsSystem",
-    "ResonanceError",
-    "ResonanceVerdict",
-    "SimplicityError",
-    "SingularityError",
-    "StabilityCurve",
-    "StudyRow",
-    "Trajectory",
-    "UnknownSymbolError",
-    "admissible_omegas",
-    "assemble_An",
-    "bilinear_form",
-    "blowflies",
-    "boundary_point",
-    "boundary_points",
-    "bracket_period_doubling",
-    "c0_blowfly",
-    "charfn_dalpha",
-    "charfn_det",
-    "charfn_dlambda",
-    "charfn_eval",
-    "cn_blowfly",
-    "collapsed_rhs",
-    "convergence_study",
-    "dde_boundary",
-    "delta0_dalpha",
-    "delta0_dlambda",
-    "delta0_eval",
-    "diff_matrix",
-    "direction_a2",
-    "eigenvalues",
-    "eigvec_left",
-    "eigvec_right",
-    "equilibrium_solve",
-    "estimate_period",
-    "find_hopf",
-    "fluidflow",
-    "get_model",
-    "hopf_point",
-    "integrate",
-    "interpolate",
-    "kernel_vector",
-    "lagrange_eval",
-    "lambda_prime_n2",
-    "lambda_prime_n2_re",
-    "lebesgue_constant",
-    "linearize",
-    "load_model",
-    "lyapunov_c",
-    "make_charfn",
-    "make_charfn0",
-    "make_mesh",
-    "make_model",
-    "make_system",
-    "nonresonance",
-    "param_jacobians",
-    "period_report",
-    "projection_apply",
-    "ps_boundary",
-    "replicate",
-    "resolvent_apply",
-    "rhs",
-    "sample_history",
-    "to_mu_beta",
-    "trace_hopf_curve",
-    "transversality",
-    "trilinear_form",
-]

@@ -1,10 +1,12 @@
-"""Exact delay-side characteristic function and scalar-family closed forms.
+"""Exact lag factors of the delay equation and scalar-family closed forms.
 
-Delta_0(lambda) = lambda I - sum_k C_k e^{-lambda tau_k} is the transcendental
-characteristic function the collocation ODE approximates; it serves as the
-reference oracle. The rest of the module charts the scalar delayed-feedback
-family x' = b1 x(t) + b2 x(t-1): Hopf boundary curves (exact and discretized),
-the (b1, b2) <-> (mu, beta) change of parameters for the delayed-recruitment
+The characteristic function Delta(lambda) = lambda I - sum_k C_k v_k(lambda)
+is shared by the delay equation and its collocation ODE (see discretize);
+the delay equation's lag factors v_k = e^{-lambda tau_k} live here, and the
+transcendental Delta they give serves as the reference oracle. The rest of
+the module charts the scalar delayed-feedback family
+x' = b1 x(t) + b2 x(t-1): Hopf boundary curves (exact and discretized), the
+(b1, b2) <-> (mu, beta) change of parameters for the delayed-recruitment
 interpretation, crossing speeds, and first Lyapunov coefficients along the
 boundary in closed form.
 
@@ -28,16 +30,11 @@ import numpy as np
 from scipy.linalg import schur
 
 from .cheb_mesh import diff_matrix, make_mesh
-from .errors import SingularityError, UnknownSymbolError
-from .model import DdeModel, LinearPart, equilibrium_solve, linearize
+from .errors import SingularityError
 
 __all__ = [
-    "CharFn0",
     "BoundaryPoint",
-    "make_charfn0",
-    "delta0_eval",
-    "delta0_dlambda",
-    "delta0_dalpha",
+    "delta0_lags",
     "dde_boundary",
     "ps_boundary",
     "to_mu_beta",
@@ -51,78 +48,14 @@ __all__ = [
 ]
 
 
-class CharFn0:
-    """Exact characteristic function of a point-delay linear(ized) system."""
-
-    def __init__(
-        self,
-        linear: LinearPart,
-        model: Optional[DdeModel] = None,
-        equilibrium=None,
-    ):
-        self.linear = linear
-        self.model = model
-        self.equilibrium = (
-            None if equilibrium is None else np.asarray(equilibrium, dtype=float)
-        )
-        self.dim = linear.dim
-
-    def with_param(self, name: str, value: float) -> "CharFn0":
-        if self.model is None:
-            raise UnknownSymbolError(
-                "parameter derivatives need a model-backed characteristic function"
-            )
-        model = self.model.with_params(**{name: value})
-        xbar = equilibrium_solve(model, guess=self.equilibrium)
-        return CharFn0(linearize(model, xbar), model=model, equilibrium=xbar)
-
-    def _as_result(self, mat: np.ndarray):
-        return mat[0, 0] if self.dim == 1 else mat
-
-
-def make_charfn0(model: DdeModel, equilibrium=None) -> CharFn0:
-    xbar = (
-        np.asarray(equilibrium, dtype=float)
-        if equilibrium is not None
-        else equilibrium_solve(model)
-    )
-    return CharFn0(linearize(model, xbar), model=model, equilibrium=xbar)
-
-
-def delta0_eval(cf: CharFn0, lam: complex):
-    """Delta_0(lambda); a scalar for one-dimensional models."""
+def delta0_lags(delays, lam: complex, order: int = 0) -> list:
+    """Lag factors of the delay equation's characteristic function,
+    e^{-lambda tau_k} (order 0) or their lambda-derivatives
+    -tau_k e^{-lambda tau_k} (order 1), one per delay."""
     lam = complex(lam)
-    out = lam * np.eye(cf.dim).astype(complex)
-    for tau, mat in cf.linear.terms:
-        out -= mat * cmath.exp(-lam * tau)
-    return cf._as_result(out)
-
-
-def delta0_dlambda(cf: CharFn0, lam: complex):
-    lam = complex(lam)
-    out = np.eye(cf.dim).astype(complex)
-    for tau, mat in cf.linear.terms:
-        out += mat * (tau * cmath.exp(-lam * tau))
-    return cf._as_result(out)
-
-
-def delta0_dalpha(cf: CharFn0, lam: complex, param: str):
-    """Parameter derivative; analytic dC_k/dalpha when registered, else a
-    central difference through the rebuilt linearization."""
-    lam = complex(lam)
-    derivs = cf.linear.param_derivs
-    if derivs is not None and param in derivs:
-        out = np.zeros((cf.dim, cf.dim), dtype=complex)
-        for tau, dmat in zip(cf.linear.delays, derivs[param]):
-            out -= np.asarray(dmat) * cmath.exp(-lam * tau)
-        return cf._as_result(out)
-    if cf.model is None or param not in cf.model.params:
-        raise UnknownSymbolError(f"unknown parameter {param!r}")
-    alpha = float(cf.model.params[param])
-    h = 1e-6 * max(1.0, abs(alpha))
-    hi = delta0_eval(cf.with_param(param, alpha + h), lam)
-    lo = delta0_eval(cf.with_param(param, alpha - h), lam)
-    return (hi - lo) / (2.0 * h)
+    if order == 0:
+        return [cmath.exp(-lam * tau) for tau in delays]
+    return [-tau * cmath.exp(-lam * tau) for tau in delays]
 
 
 def dde_boundary(omega: float) -> tuple:
@@ -242,7 +175,7 @@ def to_mu_beta(b1: float, b2: float) -> tuple:
     try:
         beta = -b1 * math.exp(1.0 + b2 / b1)
     except OverflowError:
-        raise ValueError(
+        raise SingularityError(
             f"beta overflows at (b1, b2)=({b1}, {b2}): boundary end point"
         ) from None
     return (-b1, beta)
@@ -356,8 +289,9 @@ def boundary_points(omegas, n: Optional[int] = None) -> list:
     """Chart rows at an array of omegas: the exact curve when n is None, else
     the degree-n one, whose rows come from a handful of batched lag solves.
 
-    Raises SingularityError near poles of the curve and ValueError where the
-    (mu, beta) interpretation fails (b1 >= 0).
+    Raises SingularityError near poles of the curve and where beta
+    overflows at its end points, and ValueError where the (mu, beta)
+    interpretation fails (b1 >= 0).
     """
     w = np.asarray(omegas, dtype=float).ravel()
     if n is None:

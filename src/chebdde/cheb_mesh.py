@@ -13,6 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = [
+    "Mesh",
+    "DiffOp",
+    "make_mesh",
+    "lagrange_eval",
+    "diff_matrix",
+    "interpolate",
+    "lebesgue_constant",
+]
+
 
 @dataclass(frozen=True)
 class Mesh:

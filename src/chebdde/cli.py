@@ -17,15 +17,9 @@ import tempfile
 import numpy as np
 
 from ._expr import evaluate, parse_expr
-from .analytic import admissible_omegas, boundary_points, delta0_eval, make_charfn0
+from .analytic import admissible_omegas, boundary_points
 from .cheb_mesh import diff_matrix, make_mesh
-from .discretize import (
-    assemble_An,
-    charfn_det,
-    eigenvalues,
-    make_charfn,
-    make_system,
-)
+from .discretize import assemble_An, charfn_det, eigenvalues, make_system
 from .errors import ChebddeError
 from .hopf import convergence_study, find_hopf, trace_hopf_curve
 from .model import get_model
@@ -221,20 +215,16 @@ def _cmd_eig(args):
 def _cmd_charfn(args):
     model = _load_model(args)
     lam = args.lam
-    det_n = charfn_det(make_charfn(model, args.n), lam)
-    val0 = delta0_eval(make_charfn0(model), lam)
-    det_0 = complex(np.linalg.det(val0)) if getattr(val0, "ndim", 0) == 2 else complex(val0)
+    det_n = charfn_det(make_system(model, args.n), lam)
+    det_0 = charfn_det(make_system(model), lam)
     header = ["re_lambda", "im_lambda", "re_delta_n", "im_delta_n", "re_delta_0", "im_delta_0"]
     row = (lam.real, lam.imag, det_n.real, det_n.imag, det_0.real, det_0.imag)
     return [(_csv(header, [row]), args.out)]
 
 
 def _find_point(args, model):
-    if args.analytic:
-        cf = make_charfn0(model)
-    else:
-        cf = make_charfn(model, args.n)
-    return find_hopf(cf, args.param, args.omega, args.alpha)
+    # --n and --analytic exclude each other, so n is None for the exact problem
+    return find_hopf(make_system(model, args.n), args.param, args.omega, args.alpha)
 
 
 def _cmd_hopf(args):
@@ -258,13 +248,9 @@ def _cmd_lyap(args):
 def _cmd_curve(args):
     model = _load_model(args)
     seed_param = args.seed_param or args.params[1]
-    if args.analytic:
-        cf, n = make_charfn0(model), None
-    else:
-        cf, n = make_charfn(model, args.n), args.n
-    start = find_hopf(cf, seed_param, args.omega, args.alpha)
+    start = find_hopf(make_system(model, args.n), seed_param, args.omega, args.alpha)
     curve = trace_hopf_curve(model, args.params, start, args.step,
-                             max_points=args.max_points, n=n)
+                             max_points=args.max_points, n=args.n)
     header = list(curve.names) + ["omega", "step", "residual", "iterations", "simplicity"]
     rows = []
     for point, step, diag in zip(curve.points, curve.steps, curve.diagnostics):

@@ -1,12 +1,20 @@
-"""Spectral ODE discretization of a delay equation.
+"""Spectral ODE discretization of a delay equation, and the characteristic
+function that the delay equation and its discretization share.
 
 The DDE x'(t) = f(x(t - tau_0), ..., x(t - tau_K)) on histories over [-1, 0]
 is replaced by an ODE on n+1 Chebyshev nodes: node 0 carries the genuine
 dynamics, nodes 1..n collocate d/dtheta so the tail transports the history.
-Eigenvalues of the assembled matrix A_n are exactly the roots of a rational
-characteristic function Delta_n, evaluated here together with its lambda- and
-parameter-derivatives, eigenvectors on both sides, and a resolvent that never
-forms (lambda I - A_n).
+
+Both problems have the characteristic function
+Delta(lambda) = lambda I - sum_k C_k v_k(lambda), and only the lag factors
+v_k differ: e^{-lambda tau_k} for the delay equation, and for the degree-n
+ODE the value at -tau_k of the polynomial interpolating
+(1, (D - lambda I)^{-1} D 1). The eigenvalues of the assembled matrix A_n are
+exactly the roots of Delta_n. PsSystem is the model at one parameter point
+for either problem (make_system(model) is the delay equation itself); the
+charfn_* functions evaluate Delta with its lambda- and parameter-derivatives
+for both, and at a degree the eigenvectors on both sides and a resolvent
+that never forms (lambda I - A_n) are available too.
 
 State layout is (y_0, y_1, ..., y_n) blocked by node, each block of size d.
 """
@@ -14,6 +22,7 @@ State layout is (y_0, y_1, ..., y_n) blocked by node, each block of size d.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,6 +30,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import zgecon
 
 from ._expr import compile_rhs
+from .analytic import delta0_lags
 from .cheb_mesh import Mesh, DiffOp, _bary_coeffs, diff_matrix, make_mesh
 from .errors import (
     ConditioningError,
@@ -34,9 +44,7 @@ from .model import DdeModel, LinearPart, equilibrium_solve, linearize
 
 __all__ = [
     "PsSystem",
-    "CharFnN",
     "make_system",
-    "make_charfn",
     "assemble_An",
     "rhs",
     "charfn_eval",
@@ -48,7 +56,6 @@ __all__ = [
     "resolvent_apply",
     "projection_apply",
     "eigenvalues",
-    "kernel_vector",
     "replicate",
 ]
 
@@ -56,54 +63,113 @@ __all__ = [
 COND_LIMIT = 1e14
 
 
-def _lag_rows(mesh: Mesh, delays) -> np.ndarray:
-    """Row k holds the barycentric cardinal values ell_j(-tau_k)."""
-    return np.array(
+@lru_cache(maxsize=64)
+def _operators(n: int, delays: tuple) -> tuple:
+    """Mesh, differentiation blocks and state operator at degree n, built
+    once and shared by every system with these delays, so read-only.
+
+    The (K + n) x (n + 1) state operator stacks the K lag rows ell(-tau_k)
+    on the tail block (d0 | D), so one product gives every lag value and
+    every tail derivative.
+    """
+    mesh = make_mesh(n)
+    diff = diff_matrix(mesh)
+    lag_rows = np.array(
         [_bary_coeffs(mesh.nodes, mesh.bary_weights, -float(tau)) for tau in delays]
     )
+    op = np.vstack([lag_rows, np.column_stack([diff.d0, diff.D])])
+    for arr in (mesh.nodes, mesh.bary_weights, diff.D, diff.d0, op):
+        arr.flags.writeable = False
+    return mesh, diff, op
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PsSystem:
-    """A model, its equilibrium data and the collocation operators at one n."""
+    """The model at one parameter point: its equilibrium and linearization,
+    and at a degree n the collocation operators. n is None for the delay
+    equation itself, whose lag factors are exponentials."""
 
     model: DdeModel
-    linear: LinearPart
+    n: Optional[int]
     equilibrium: np.ndarray
-    n: int
-    mesh: Mesh
-    diff: DiffOp
-    rhs_fn: Callable = field(repr=False, compare=False)
-    #: (K + n) x (n + 1) state operator: the K lag rows ell(-tau_k) stacked
-    #: on the tail block (d0 | D), so one product gives every lag value and
-    #: every tail derivative
-    op: np.ndarray = field(repr=False, compare=False)
+    linear: LinearPart
+    mesh: Optional[Mesh]
+    diff: Optional[DiffOp]
+    op: Optional[np.ndarray] = field(repr=False)
+    # lambda -> (LU factors of D - lambda I, lag solve at lambda)
+    _lu: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def dim(self) -> int:
+        return self.model.dim
+
+    @cached_property
+    def rhs_fn(self) -> Callable:
+        """The model rhs compiled for time stepping, on first use: analysis
+        at many parameter points never evaluates it."""
+        return compile_rhs(self.model.rhs, self.model.params, len(self.model.delays))
+
+    def with_param(self, name: str, value: float) -> "PsSystem":
+        """Rebuild at a changed parameter: the equilibrium is re-solved from
+        the current one, so the linearization tracks its drift."""
+        model = self.model.with_params(**{name: value})
+        xbar = equilibrium_solve(model, guess=self.equilibrium)
+        return make_system(model, self.n, xbar)
+
+    def lag_solve(self, lam: complex) -> np.ndarray:
+        """Cached x(lambda) = (D - lambda I)^{-1} D 1 with a conditioning guard."""
+        lam = complex(lam)
+        hit = self._lu.get(lam)
+        if hit is not None:
+            return hit[1]
+        mat = self.diff.D - lam * np.eye(self.n)
+        anorm = np.linalg.norm(mat, 1)
+        lu, piv = lu_factor(mat.astype(complex))
+        rcond, info = zgecon(lu, anorm)
+        if info != 0 or rcond < 1.0 / COND_LIMIT:
+            raise ConditioningError(
+                f"(D - lambda I) is numerically singular at lambda={lam} "
+                f"(rcond={rcond:.2e}); lambda sits near a spurious eigenvalue of D"
+            )
+        x = lu_solve((lu, piv), -self.diff.d0)  # D 1 = -d0
+        if len(self._lu) > 512:
+            self._lu.clear()
+        self._lu[lam] = ((lu, piv), x)
+        return x
+
+    def lag_values(self, lam: complex, order: int = 0) -> list:
+        """Lag factor v_k(lambda) (order 0) or its derivative v_k'(lambda)
+        (order 1) for every delay: exponentials for the delay equation; at a
+        degree the interpolated lag solve, whose derivative is one more
+        solve with the same LU factors."""
+        if self.n is None:
+            return delta0_lags(self.model.delays, lam, order)
+        lam = complex(lam)
+        x = self.lag_solve(lam)
+        head = 1.0
+        if order == 1:
+            x, head = lu_solve(self._lu[lam][0], x), 0.0
+        return [
+            row[0] * head + row[1:] @ x
+            for row in self.op[: len(self.model.delays)]
+        ]
 
 
-def make_system(model: DdeModel, n: int, equilibrium=None) -> PsSystem:
-    """Discretize a model at degree n, solving for the equilibrium if needed."""
-    if n < 1:
+def make_system(model: DdeModel, n: Optional[int] = None, equilibrium=None) -> PsSystem:
+    """The model at its current parameters, collocated at degree n, or the
+    delay equation itself when n is None; the equilibrium is solved for
+    when not given."""
+    if n is not None and n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
     xbar = (
         np.asarray(equilibrium, dtype=float)
         if equilibrium is not None
         else equilibrium_solve(model)
     )
-    mesh = make_mesh(n)
-    diff = diff_matrix(mesh)
-    op = np.vstack(
-        [_lag_rows(mesh, model.delays), np.column_stack([diff.d0, diff.D])]
-    )
-    return PsSystem(
-        model=model,
-        linear=linearize(model, xbar),
-        equilibrium=xbar,
-        n=n,
-        mesh=mesh,
-        diff=diff,
-        rhs_fn=compile_rhs(model.rhs, model.params, len(model.delays)),
-        op=op,
-    )
+    mesh = diff = op = None
+    if n is not None:
+        mesh, diff, op = _operators(n, model.delays)
+    return PsSystem(model, n, xbar, linearize(model, xbar), mesh, diff, op)
 
 
 def replicate(xbar, n: int) -> np.ndarray:
@@ -140,160 +206,51 @@ def rhs(ps: PsSystem, state) -> np.ndarray:
     return out.reshape(-1)
 
 
-class CharFnN:
-    """Rational characteristic function Delta_n of the collocation ODE.
-
-    Delta_n(lambda) = lambda I - sum_k C_k v_k(lambda), where v_k is the value
-    at -tau_k of the polynomial interpolating (1, (D - lambda I)^{-1} D 1).
-    Lag solves are LU-factored once per lambda and cached.
-    """
-
-    def __init__(
-        self,
-        linear: LinearPart,
-        mesh: Mesh,
-        diff: DiffOp,
-        model: Optional[DdeModel] = None,
-        equilibrium=None,
-    ):
-        self.linear = linear
-        self.mesh = mesh
-        self.diff = diff
-        self.model = model
-        self.equilibrium = (
-            None if equilibrium is None else np.asarray(equilibrium, dtype=float)
-        )
-        self.n = mesh.n
-        self.dim = linear.dim
-        self._d_one = -diff.d0  # D applied to the all-ones vector
-        self._basis_rows = dict(
-            zip(linear.delays, _lag_rows(mesh, linear.delays))
-        )
-        self._cache = {}
-
-    def with_param(self, name: str, value: float) -> "CharFnN":
-        """Rebuild at a changed parameter: the equilibrium is re-solved from
-        the current one, so the linearization tracks its drift."""
-        if self.model is None:
-            raise UnknownSymbolError(
-                "parameter derivatives need a model-backed characteristic function"
-            )
-        model = self.model.with_params(**{name: value})
-        xbar = equilibrium_solve(model, guess=self.equilibrium)
-        return CharFnN(
-            linear=linearize(model, xbar),
-            mesh=self.mesh,
-            diff=self.diff,
-            model=model,
-            equilibrium=xbar,
-        )
-
-    def lag_solve(self, lam: complex) -> np.ndarray:
-        """Cached x(lambda) = (D - lambda I)^{-1} D 1 with a conditioning guard."""
-        lam = complex(lam)
-        hit = self._cache.get(lam)
-        if hit is not None:
-            return hit[1]
-        mat = self.diff.D - lam * np.eye(self.n)
-        anorm = np.linalg.norm(mat, 1)
-        lu, piv = lu_factor(mat.astype(complex))
-        rcond, info = zgecon(lu, anorm)
-        if info != 0 or rcond < 1.0 / COND_LIMIT:
-            raise ConditioningError(
-                f"(D - lambda I) is numerically singular at lambda={lam} "
-                f"(rcond={rcond:.2e}); lambda sits near a spurious eigenvalue of D"
-            )
-        x = lu_solve((lu, piv), self._d_one)
-        if len(self._cache) > 512:
-            self._cache.clear()
-        self._cache[lam] = ((lu, piv), x)
-        return x
-
-    def _lu(self, lam: complex):
-        lam = complex(lam)
-        self.lag_solve(lam)
-        return self._cache[lam][0]
-
-    def _as_result(self, mat: np.ndarray):
-        return mat[0, 0] if self.dim == 1 else mat
+def _combine(ps: PsSystem, out: np.ndarray, mats, vals):
+    """out - sum_k mats_k vals_k; a scalar for one-dimensional models."""
+    for mat, val in zip(mats, vals):
+        out -= mat * val
+    return out[0, 0] if ps.dim == 1 else out
 
 
-def make_charfn(model: DdeModel, n: int, equilibrium=None) -> CharFnN:
-    xbar = (
-        np.asarray(equilibrium, dtype=float)
-        if equilibrium is not None
-        else equilibrium_solve(model)
-    )
-    mesh = make_mesh(n)
-    return CharFnN(
-        linear=linearize(model, xbar),
-        mesh=mesh,
-        diff=diff_matrix(mesh),
-        model=model,
-        equilibrium=xbar,
-    )
-
-
-def _delay_values(cf: CharFnN, tail: np.ndarray, head) -> dict:
-    """Interpolant of (head, tail) evaluated at -tau_k for every delay."""
-    vals = {}
-    for tau in cf.linear.delays:
-        row = cf._basis_rows[tau]
-        vals[tau] = row[0] * head + row[1:] @ tail
-    return vals
-
-
-def charfn_eval(cf: CharFnN, lam: complex):
-    """Delta_n(lambda); a scalar for one-dimensional models."""
+def charfn_eval(ps: PsSystem, lam: complex):
+    """Delta(lambda) = lambda I - sum_k C_k v_k(lambda); a scalar for
+    one-dimensional models."""
     lam = complex(lam)
-    x = cf.lag_solve(lam)
-    vals = _delay_values(cf, x, 1.0)
-    delta = lam * np.eye(cf.dim).astype(complex)
-    for tau, mat in cf.linear.terms:
-        delta -= mat * vals[tau]
-    return cf._as_result(delta)
+    start = lam * np.eye(ps.dim).astype(complex)
+    return _combine(ps, start, ps.linear.mats, ps.lag_values(lam))
 
 
-def charfn_det(cf: CharFnN, lam: complex) -> complex:
-    """det Delta_n(lambda) (= Delta_n itself for scalar models)."""
-    val = charfn_eval(cf, lam)
-    return complex(val) if cf.dim == 1 else complex(np.linalg.det(val))
+def charfn_det(ps: PsSystem, lam: complex) -> complex:
+    """det Delta(lambda) (= Delta itself for scalar models)."""
+    val = charfn_eval(ps, lam)
+    return complex(val) if ps.dim == 1 else complex(np.linalg.det(val))
 
 
-def charfn_dlambda(cf: CharFnN, lam: complex):
-    """Analytic lambda-derivative of Delta_n."""
-    lam = complex(lam)
-    x = cf.lag_solve(lam)
-    x2 = lu_solve(cf._lu(lam), x)
-    vals = _delay_values(cf, x2, 0.0)
-    out = np.eye(cf.dim).astype(complex)
-    for tau, mat in cf.linear.terms:
-        out -= mat * vals[tau]
-    return cf._as_result(out)
+def charfn_dlambda(ps: PsSystem, lam: complex):
+    """Analytic lambda-derivative I - sum_k C_k v_k'(lambda)."""
+    start = np.eye(ps.dim).astype(complex)
+    return _combine(ps, start, ps.linear.mats, ps.lag_values(lam, 1))
 
 
-def charfn_dalpha(cf: CharFnN, lam: complex, param: str):
-    """Parameter derivative of Delta_n.
+def charfn_dalpha(ps: PsSystem, lam: complex, param: str):
+    """Parameter derivative of Delta.
 
-    Uses registered analytic dC_k/dalpha matrices when available; otherwise a
-    central difference of the rebuilt characteristic function, which captures
-    the induced motion of the equilibrium.
+    Uses registered analytic dC_k/dalpha matrices when available; otherwise
+    (at a fold) a central difference of the rebuilt characteristic function,
+    which captures the induced motion of the equilibrium.
     """
     lam = complex(lam)
-    derivs = cf.linear.param_derivs
+    derivs = ps.linear.param_derivs
     if derivs is not None and param in derivs:
-        x = cf.lag_solve(lam)
-        vals = _delay_values(cf, x, 1.0)
-        out = np.zeros((cf.dim, cf.dim), dtype=complex)
-        for tau, dmat in zip(cf.linear.delays, derivs[param]):
-            out -= np.asarray(dmat) * vals[tau]
-        return cf._as_result(out)
-    if cf.model is None or param not in cf.model.params:
+        start = np.zeros((ps.dim, ps.dim), dtype=complex)
+        return _combine(ps, start, derivs[param], ps.lag_values(lam))
+    if param not in ps.model.params:
         raise UnknownSymbolError(f"unknown parameter {param!r}")
-    alpha = float(cf.model.params[param])
+    alpha = float(ps.model.params[param])
     h = 1e-6 * max(1.0, abs(alpha))
-    hi = charfn_eval(cf.with_param(param, alpha + h), lam)
-    lo = charfn_eval(cf.with_param(param, alpha - h), lam)
+    hi = charfn_eval(ps.with_param(param, alpha + h), lam)
+    lo = charfn_eval(ps.with_param(param, alpha - h), lam)
     return (hi - lo) / (2.0 * h)
 
 
@@ -307,24 +264,24 @@ def kernel_vector(mat: np.ndarray) -> np.ndarray:
     return vec * (abs(pivot) / pivot)
 
 
-def _delta_matrix(cf: CharFnN, lam: complex) -> np.ndarray:
-    val = charfn_eval(cf, lam)
+def _as_matrix(val) -> np.ndarray:
+    """A characteristic-function value as a d x d array, also for d = 1."""
     return np.atleast_2d(np.asarray(val, dtype=complex))
 
 
-def eigvec_right(cf: CharFnN, lam: complex, p_star=None) -> np.ndarray:
+def eigvec_right(ps: PsSystem, lam: complex, p_star=None) -> np.ndarray:
     """Eigenvector (p_star, p_star x_1, ..., p_star x_n) of A_n at lambda."""
     lam = complex(lam)
-    delta = _delta_matrix(cf, lam)
+    delta = _as_matrix(charfn_eval(ps, lam))
     if p_star is None:
-        p_star = np.ones(1) if cf.dim == 1 else kernel_vector(delta)
+        p_star = np.ones(1) if ps.dim == 1 else kernel_vector(delta)
     p_star = np.asarray(p_star, dtype=complex)
     res = np.linalg.norm(delta @ p_star)
     if res > 1e-8 * (1.0 + abs(lam)) * np.linalg.norm(p_star):
         raise ValueError(
             f"lambda={lam} is not a characteristic root (|Delta p|={res:.2e})"
         )
-    x = cf.lag_solve(lam)
+    x = ps.lag_solve(lam)
     return np.concatenate([p_star, np.outer(x, p_star).reshape(-1)])
 
 
@@ -344,36 +301,35 @@ def _adjugate(mat: np.ndarray) -> np.ndarray:
     return adj
 
 
-def _simplicity_margin(cf: CharFnN, lam: complex) -> float:
+def _simplicity_margin(ps: PsSystem, lam: complex) -> float:
     """|d/dlambda det Delta_n| at the root: trace of adj(Delta) D_1 Delta,
     which for a scalar is just |D_1 Delta|. Stays finite as Delta degenerates,
     unlike det(Delta) inv(Delta)."""
-    dl = charfn_dlambda(cf, lam)
-    if cf.dim == 1:
+    dl = charfn_dlambda(ps, lam)
+    if ps.dim == 1:
         return abs(dl)
-    delta = _delta_matrix(cf, lam)
+    delta = _as_matrix(charfn_eval(ps, lam))
     return abs(np.trace(_adjugate(delta) @ np.atleast_2d(dl)))
 
 
-def eigvec_left(cf: CharFnN, lam: complex, p: Optional[np.ndarray] = None) -> np.ndarray:
+def eigvec_left(ps: PsSystem, lam: complex, p: Optional[np.ndarray] = None) -> np.ndarray:
     """Adjoint eigenvector of A_n at a simple root, scaled so q . p = 1 in the
     bilinear (unconjugated) pairing."""
     lam = complex(lam)
-    if _simplicity_margin(cf, lam) < 1e-10 * (1.0 + abs(lam)):
+    if _simplicity_margin(ps, lam) < 1e-10 * (1.0 + abs(lam)):
         raise SimplicityError(
             f"characteristic root {lam} is not numerically simple"
         )
-    d, n = cf.dim, cf.n
+    d, n = ps.dim, ps.n
     if p is None:
-        p = eigvec_right(cf, lam)
-    delta = _delta_matrix(cf, lam)
+        p = eigvec_right(ps, lam)
+    delta = _as_matrix(charfn_eval(ps, lam))
     q_star = np.ones(1) if d == 1 else kernel_vector(delta.T)
     # rows of R couple q_star back through the delay blocks at each tail node
     r = np.zeros((n, d), dtype=complex)
-    for tau, mat in cf.linear.terms:
-        row = cf._basis_rows[tau]
+    for row, mat in zip(ps.op[: len(ps.linear.mats)], ps.linear.mats):
         r += np.outer(row[1:], np.asarray(mat, dtype=complex).T @ q_star)
-    tail = np.linalg.solve(lam * np.eye(n) - cf.diff.D.T, r)
+    tail = np.linalg.solve(lam * np.eye(n) - ps.diff.D.T, r)
     q = np.concatenate([q_star, tail.reshape(-1)])
     scale = q @ p
     if abs(scale) < 1e-12 * (1.0 + np.linalg.norm(q) * np.linalg.norm(p)):
@@ -383,33 +339,32 @@ def eigvec_left(cf: CharFnN, lam: complex, p: Optional[np.ndarray] = None) -> np
     return q / scale
 
 
-def resolvent_apply(cf: CharFnN, lam: complex, zeta) -> np.ndarray:
+def resolvent_apply(ps: PsSystem, lam: complex, zeta) -> np.ndarray:
     """Solve (lambda I - A_n) h = zeta with two lag solves and a d x d solve."""
     lam = complex(lam)
-    d, n = cf.dim, cf.n
+    d, n = ps.dim, ps.n
     zeta = np.asarray(zeta, dtype=complex).reshape(n + 1, d)
-    delta = _delta_matrix(cf, lam)
+    delta = _as_matrix(charfn_eval(ps, lam))
     smin = np.linalg.svd(delta, compute_uv=False)[-1]
     if smin < 1e-10 * (1.0 + abs(lam)):
         raise SingularityError(
             f"lambda={lam} is an eigenvalue: Delta_n is singular"
         )
-    lu = lu_factor(lam * np.eye(n) - cf.diff.D.astype(complex))
+    lu = lu_factor(lam * np.eye(n) - ps.diff.D.astype(complex))
     x_part = lu_solve(lu, zeta[1:])
-    x_eig = lu_solve(lu, -cf._d_one.astype(complex))  # equals (D-lam I)^{-1} D 1
+    x_eig = lu_solve(lu, ps.diff.d0.astype(complex))  # equals (D-lam I)^{-1} D 1
     head_rhs = zeta[0].copy()
-    for tau, mat in cf.linear.terms:
-        row = cf._basis_rows[tau]
+    for row, mat in zip(ps.op[: len(ps.linear.mats)], ps.linear.mats):
         head_rhs += mat @ (row[1:] @ x_part)
     h0 = np.linalg.solve(delta, head_rhs)
     tail = x_part + np.outer(x_eig, h0)
     return np.concatenate([h0, tail.reshape(-1)])
 
 
-def projection_apply(cf: CharFnN, lam: complex, zeta) -> np.ndarray:
+def projection_apply(ps: PsSystem, lam: complex, zeta) -> np.ndarray:
     """Spectral projection onto the eigenspace at a simple root lambda."""
-    p = eigvec_right(cf, lam)
-    q = eigvec_left(cf, lam, p)
+    p = eigvec_right(ps, lam)
+    q = eigvec_left(ps, lam, p)
     zeta = np.asarray(zeta, dtype=complex).reshape(-1)
     return (q @ zeta) * p
 

@@ -1,40 +1,32 @@
 """Hopf point location and diagnostics for delay models.
 
-Works uniformly on the exact characteristic function (CharFn0) and its
-collocation counterpart (CharFnN): Newton on the imaginary-axis root
-condition, transversality/simplicity/non-resonance diagnostics, the first
-Lyapunov coefficient by the three-term formula, the branch direction
-coefficient, pseudo-arclength continuation of the critical curve in two
-parameters, and degree-refinement studies.
+Works on one characteristic function,
+Delta(lambda) = lambda I - sum_k C_k v_k(lambda), for the delay equation
+(make_system(model), lag factors e^{-lambda tau_k}) and its degree-n
+collocation ODE (make_system(model, n), interpolated lag solves) alike:
+Newton on the imaginary-axis root condition, transversality/simplicity/
+non-resonance diagnostics, the first Lyapunov coefficient by the three-term
+formula, the branch direction coefficient, pseudo-arclength continuation of
+the critical curve in two parameters, and degree-refinement studies.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .analytic import (
-    CharFn0,
-    delta0_dalpha,
-    delta0_dlambda,
-    delta0_eval,
-    make_charfn0,
-)
 from .discretize import (
-    CharFnN,
-    PsSystem,
     _adjugate,
-    _delay_values,
+    _as_matrix,
+    assemble_An,
     charfn_dalpha,
     charfn_dlambda,
     charfn_eval,
     eigenvalues,
     kernel_vector,
-    make_charfn,
+    make_system,
 )
-from .cheb_mesh import diff_matrix, make_mesh
 from .errors import (
     ChebddeError,
     ConditioningError,
@@ -45,12 +37,23 @@ from .errors import (
     SingularityError,
     UnknownSymbolError,
 )
-from .model import (
-    bilinear_form,
-    equilibrium_solve,
-    linearize,
-    trilinear_form,
-)
+from .model import bilinear_form, equilibrium_solve, trilinear_form
+
+__all__ = [
+    "ResonanceVerdict",
+    "HopfPoint",
+    "CurveDiag",
+    "StabilityCurve",
+    "StudyRow",
+    "hopf_point",
+    "find_hopf",
+    "transversality",
+    "nonresonance",
+    "lyapunov_c",
+    "direction_a2",
+    "trace_hopf_curve",
+    "convergence_study",
+]
 
 #: Newton iteration budget and scaled residual floor for find_hopf
 MAX_NEWTON = 50
@@ -146,69 +149,23 @@ class StudyRow:
     failure: Optional[str] = None
 
 
-def _delta_mat(cf, lam: complex) -> np.ndarray:
-    val = charfn_eval(cf, lam) if isinstance(cf, CharFnN) else delta0_eval(cf, lam)
-    return np.atleast_2d(np.asarray(val, dtype=complex))
-
-
-def _dlambda_mat(cf, lam: complex) -> np.ndarray:
-    val = (
-        charfn_dlambda(cf, lam)
-        if isinstance(cf, CharFnN)
-        else delta0_dlambda(cf, lam)
-    )
-    return np.atleast_2d(np.asarray(val, dtype=complex))
-
-
-def _dalpha_mat(cf, lam: complex, param: str) -> np.ndarray:
-    val = (
-        charfn_dalpha(cf, lam, param)
-        if isinstance(cf, CharFnN)
-        else delta0_dalpha(cf, lam, param)
-    )
-    return np.atleast_2d(np.asarray(val, dtype=complex))
-
-
 def _smin(mat: np.ndarray) -> float:
     return float(np.linalg.svd(mat, compute_uv=False)[-1])
 
 
-def _lag_values(cf, lam: complex) -> dict:
-    """History-direction value at -tau for every delay tau: exponentials for
-    the exact problem, the interpolated lag solve for the collocation one."""
-    if isinstance(cf, CharFnN):
-        return _delay_values(cf, cf.lag_solve(lam), 1.0)
-    return {tau: cmath.exp(-lam * tau) for tau in cf.linear.delays}
-
-
-def _as_charfn(system):
-    if isinstance(system, PsSystem):
-        return CharFnN(
-            linear=system.linear,
-            mesh=system.mesh,
-            diff=system.diff,
-            model=system.model,
-            equilibrium=system.equilibrium,
-        )
-    if isinstance(system, (CharFn0, CharFnN)):
-        return system
-    raise TypeError(f"expected PsSystem, CharFn0 or CharFnN, got {type(system)!r}")
-
-
 def _at_alpha(cf, param: str, alpha: float):
     """Rebuild cf at the requested parameter value if it sits elsewhere."""
-    if cf.model is not None and param in cf.model.params:
-        if float(cf.model.params[param]) != float(alpha):
-            return cf.with_param(param, float(alpha))
+    if param in cf.model.params and float(cf.model.params[param]) != float(alpha):
+        return cf.with_param(param, float(alpha))
     return cf
 
 
 def _root_data(cf, lam: complex, param: str):
     """(f, df/dlambda, df/dalpha) for the Newton function f: the
     characteristic value itself for scalars, its determinant for systems."""
-    delta = _delta_mat(cf, lam)
-    dl = _dlambda_mat(cf, lam)
-    da = _dalpha_mat(cf, lam, param)
+    delta = _as_matrix(charfn_eval(cf, lam))
+    dl = _as_matrix(charfn_dlambda(cf, lam))
+    da = _as_matrix(charfn_dalpha(cf, lam, param))
     if cf.dim == 1:
         return delta[0, 0], dl[0, 0], da[0, 0]
     adj = _adjugate(delta)
@@ -221,8 +178,8 @@ def _root_data(cf, lam: complex, param: str):
 
 def _critical_pair(cf, lam: complex):
     """Kernel vectors (p, q) with p[0] = 1 and q . D1 Delta p = 1."""
-    delta = _delta_mat(cf, lam)
-    dl = _dlambda_mat(cf, lam)
+    delta = _as_matrix(charfn_eval(cf, lam))
+    dl = _as_matrix(charfn_dlambda(cf, lam))
     if cf.dim == 1:
         p = np.ones(1, dtype=complex)
         qt = np.ones(1, dtype=complex)
@@ -246,7 +203,7 @@ def _critical_pair(cf, lam: complex):
 def _transversality(cf, omega: float, param: str) -> float:
     lam = 1j * omega
     p, q = _critical_pair(cf, lam)
-    da = _dalpha_mat(cf, lam, param)
+    da = _as_matrix(charfn_dalpha(cf, lam, param))
     return float((q @ (da @ p)).real)
 
 
@@ -257,15 +214,12 @@ def _lyapunov(cf, omega: float) -> complex:
     Delta(2 i omega) w2 = D2g(phi, phi); the history fed back into the
     forms is constant for w0 and carries the 2-i-omega lag values for w2.
     """
-    if cf.model is None:
-        # purely linear problem: both the quadratic and cubic forms vanish
-        return 0.0 + 0.0j
     model, xbar = cf.model, cf.equilibrium
     lam = 1j * omega
     p, q = _critical_pair(cf, lam)
-    v1 = _lag_values(cf, lam)
-    lags = list(enumerate(model.delays))
-    phi = {(i, k): v1[tau] * p[i] for i in range(cf.dim) for k, tau in lags}
+    v1 = cf.lag_values(lam)
+    lags = range(len(model.delays))
+    phi = {(i, k): v1[k] * p[i] for i in range(cf.dim) for k in lags}
     phib = {key: val.conjugate() for key, val in phi.items()}
     h11 = bilinear_form(model, xbar, phi, phib)
     h20 = bilinear_form(model, xbar, phi, phi)
@@ -273,9 +227,9 @@ def _lyapunov(cf, omega: float) -> complex:
     w2 = _resonant_solve(
         cf, 2j * omega, h20, "two-to-one resonance, 2 i omega is a root"
     )
-    v2 = _lag_values(cf, 2j * omega)
-    w0dir = {(i, k): w0[i] for i in range(cf.dim) for k, _ in lags}
-    w2dir = {(i, k): v2[tau] * w2[i] for i in range(cf.dim) for k, tau in lags}
+    v2 = cf.lag_values(2j * omega)
+    w0dir = {(i, k): w0[i] for i in range(cf.dim) for k in lags}
+    w2dir = {(i, k): v2[k] * w2[i] for i in range(cf.dim) for k in lags}
     terms = 0.5 * trilinear_form(model, xbar, phi, phi, phib)
     terms = terms + bilinear_form(model, xbar, w0dir, phi)
     terms = terms + 0.5 * bilinear_form(model, xbar, w2dir, phib)
@@ -283,22 +237,10 @@ def _lyapunov(cf, omega: float) -> complex:
 
 
 def _resonant_solve(cf, lam: complex, rhs_vec: np.ndarray, what: str) -> np.ndarray:
-    delta = _delta_mat(cf, lam)
+    delta = _as_matrix(charfn_eval(cf, lam))
     if _smin(delta) < 1e-10 * (1.0 + abs(lam)):
         raise ResonanceError(f"Delta({lam}) is singular: {what}")
     return np.linalg.solve(delta, np.asarray(rhs_vec, dtype=complex))
-
-
-def _an_matrix(cf: CharFnN) -> np.ndarray:
-    """Collocation matrix rebuilt from the characteristic-function data."""
-    top = np.zeros((cf.dim, (cf.n + 1) * cf.dim))
-    for tau, mat in cf.linear.terms:
-        top += np.kron(cf._basis_rows[tau], np.asarray(mat, dtype=float))
-    eye = np.eye(cf.dim)
-    lower = np.hstack(
-        [np.kron(cf.diff.d0[:, None], eye), np.kron(cf.diff.D, eye)]
-    )
-    return np.vstack([top, lower])
 
 
 def _nonresonance_verdict(cf, omega: float, k_max: int) -> ResonanceVerdict:
@@ -306,7 +248,7 @@ def _nonresonance_verdict(cf, omega: float, k_max: int) -> ResonanceVerdict:
     failures = []
     for k in (0, *range(2, k_max + 1)):
         try:
-            margin = _smin(_delta_mat(cf, 1j * (k * omega)))
+            margin = _smin(_as_matrix(charfn_eval(cf, 1j * (k * omega))))
         except ConditioningError:
             # k*i*omega fell onto a spurious pole of the lag solve; the
             # margin there is not trustworthy, so report the k as failed
@@ -316,8 +258,8 @@ def _nonresonance_verdict(cf, omega: float, k_max: int) -> ResonanceVerdict:
             failures.append(k)
     clearance = None
     near = ()
-    if isinstance(cf, CharFnN):
-        vals = eigenvalues(_an_matrix(cf))
+    if cf.n is not None:
+        vals = eigenvalues(assemble_An(cf))
         drop = {
             int(np.argmin(np.abs(vals - 1j * omega))),
             int(np.argmin(np.abs(vals + 1j * omega))),
@@ -346,13 +288,13 @@ def hopf_point(cf, param: str, omega: float, alpha: float, k_max: int = 10,
     omega = float(omega)
     alpha = float(alpha)
     cur = _at_alpha(cf, param, alpha)
-    root_res = _smin(_delta_mat(cur, 1j * omega))
+    root_res = _smin(_as_matrix(charfn_eval(cur, 1j * omega)))
     if not root_res < RES_TOL * (1.0 + abs(omega)):
         raise ValueError(
             f"(omega, {param}) = ({omega:.6g}, {alpha:.6g}) does not solve the "
             f"characteristic equation (residual {root_res:.2e})"
         )
-    simplicity = _smin(_dlambda_mat(cur, 1j * omega))
+    simplicity = _smin(_as_matrix(charfn_dlambda(cur, 1j * omega)))
     sigma = _transversality(cur, omega, param)
     c = _lyapunov(cur, omega)
     a2 = c.real / sigma if sigma != 0.0 else math.nan
@@ -387,7 +329,7 @@ def find_hopf(cf, param: str, omega_guess: float, alpha_guess: float,
     residuals = []
     for _ in range(MAX_NEWTON):
         f, flam, falpha = _root_data(cur, 1j * omega, param)
-        res = _smin(_delta_mat(cur, 1j * omega))
+        res = _smin(_as_matrix(charfn_eval(cur, 1j * omega)))
         residuals.append(res)
         if res < RES_TOL * (1.0 + abs(omega)):
             break
@@ -436,9 +378,9 @@ def nonresonance(cf, hopf: HopfPoint, k_max: int = 10) -> ResonanceVerdict:
 
 
 def lyapunov_c(system, hopf: HopfPoint) -> complex:
-    """First Lyapunov coefficient from the three-term formula, on either a
-    collocation system (PsSystem/CharFnN) or the exact problem (CharFn0)."""
-    cur = _at_alpha(_as_charfn(system), hopf.param, hopf.alpha)
+    """First Lyapunov coefficient from the three-term formula, for the delay
+    equation or a collocation system."""
+    cur = _at_alpha(system, hopf.param, hopf.alpha)
     return _lyapunov(cur, hopf.omega)
 
 
@@ -467,30 +409,22 @@ class _CurveSpace:
         self.model = model
         self.names = names
         self.n = n
-        if n is not None:
-            self.mesh = make_mesh(n)
-            self.diff = diff_matrix(self.mesh)
 
     def build(self, u, guess):
         m = self.model.with_params(
             **{self.names[0]: float(u[0]), self.names[1]: float(u[1])}
         )
-        xbar = equilibrium_solve(m, guess=guess)
-        if self.n is None:
-            return CharFn0(linearize(m, xbar), model=m, equilibrium=xbar), xbar
-        cf = CharFnN(
-            linearize(m, xbar), self.mesh, self.diff, model=m, equilibrium=xbar
-        )
-        return cf, xbar
+        cf = make_system(m, self.n, equilibrium_solve(m, guess=guess))
+        return cf, cf.equilibrium
 
     def fj(self, cf, u):
         """Newton function value, its real 2x3 Jacobian in (p1, p2, omega),
         the root residual, and the simplicity measure at u."""
         lam = 1j * u[2]
-        delta = _delta_mat(cf, lam)
-        dl = _dlambda_mat(cf, lam)
-        d1 = _dalpha_mat(cf, lam, self.names[0])
-        d2 = _dalpha_mat(cf, lam, self.names[1])
+        delta = _as_matrix(charfn_eval(cf, lam))
+        dl = _as_matrix(charfn_dlambda(cf, lam))
+        d1 = _as_matrix(charfn_dalpha(cf, lam, self.names[0]))
+        d2 = _as_matrix(charfn_dalpha(cf, lam, self.names[1]))
         if cf.dim == 1:
             f, fl = delta[0, 0], dl[0, 0]
             f1, f2 = d1[0, 0], d2[0, 0]
@@ -624,8 +558,7 @@ def trace_hopf_curve(model, params, start: HopfPoint, step: float,
 def _seed_omega(model, n: int) -> float:
     """Frequency guess: the imaginary part of the collocation eigenvalue
     closest to the imaginary axis among those with positive imaginary part."""
-    cf = make_charfn(model, max(int(n), 8))
-    vals = eigenvalues(_an_matrix(cf))
+    vals = eigenvalues(assemble_An(make_system(model, max(int(n), 8))))
     cands = vals[vals.imag > 1e-8]
     if cands.size == 0:
         raise ConvergenceError(
@@ -646,6 +579,8 @@ def convergence_study(model, param: str, fixed, n_list, omega_guess=None,
     instead of aborting the study.
     """
     base = model.with_params(**dict(fixed or {}))
+    if param not in base.params:
+        raise UnknownSymbolError(f"unknown parameter {param!r}")
     n_list = [int(n) for n in n_list]
     if not n_list:
         raise ValueError("n_list must be non-empty")
@@ -660,8 +595,8 @@ def convergence_study(model, param: str, fixed, n_list, omega_guess=None,
 
     def locate(n):
         if n not in points:
-            cf = make_charfn0(base) if n is None else make_charfn(base, n)
-            points[n] = find_hopf(cf, param, omega_guess, alpha_guess, k_max)
+            points[n] = find_hopf(make_system(base, n), param, omega_guess,
+                                  alpha_guess, k_max)
         return points[n]
 
     ref = None

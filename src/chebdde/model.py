@@ -246,7 +246,12 @@ def fluidflow(k: float = 1.5, c: float = 1.5) -> DdeModel:
     k c^2 / 2 = omega^2 with omega tan(omega/2) = 1/c."""
 
     def hint(params):
-        return (params["c"], 2.0 / (params["k"] * params["c"] ** 2))
+        try:
+            return (params["c"], 2.0 / (params["k"] * params["c"] ** 2))
+        except (ZeroDivisionError, OverflowError):
+            # no equilibrium exists at k c^2 = 0, and where k c^2 overflows
+            # q lies below the float range; the Newton solve decides from here
+            return (params["c"], 0.0)
 
     return make_model(
         dim=2,

@@ -2,12 +2,15 @@
 
 The integrator is a hand-rolled Dormand-Prince 5(4) pair with the first-same-
 as-last optimization; it is explicit, so the mesh degree sets the admissible
-step through the spectrum of the differentiation blocks. Each stage evaluates
-the vector field as one product with the state operator that make_system
-precomputes (lag rows over the differentiation rows) plus one call of the
-compiled model right-hand side. Periods are measured
-from upward crossings of the post-transient mean level, which is robust to
-the asymmetric spike shapes these models produce.
+step through the spectrum of the differentiation blocks. It runs on the
+degree-n system make_system(model, n), the same object the characteristic
+function is evaluated on (make_system(model) is the delay equation itself,
+which has no state vector to step). Each stage evaluates the vector field
+as one product with the state operator shared by every system of that
+degree (lag rows over the differentiation rows) plus one call of the model
+right-hand side, compiled on first use. Periods are measured from upward
+crossings of the post-transient mean level, which is robust to the
+asymmetric spike shapes these models produce.
 """
 
 import math
@@ -207,6 +210,9 @@ def period_report(traj: Trajectory, component: int = 0, skip: float = 0.6) -> di
     """
     if not 0.0 <= skip < 1.0:
         raise ValueError(f"skip must lie in [0, 1), got {skip}")
+    size = traj.states.shape[1]
+    if not 0 <= component < size:
+        raise ValueError(f"component must lie in [0, {size}), got {component}")
     t = traj.times
     x = traj.component(component)
     t_cut = t[0] + skip * (t[-1] - t[0])

@@ -15,13 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from chebdde.analytic import admissible_omegas, cn_blowfly, make_charfn0, ps_boundary
+from chebdde.analytic import admissible_omegas, cn_blowfly, ps_boundary
 from chebdde.cheb_mesh import diff_matrix, make_mesh
 from chebdde.discretize import (
     assemble_An,
     charfn_det,
     eigenvalues,
-    make_charfn,
     make_system,
     replicate,
 )
@@ -125,7 +124,7 @@ def test_criterion_2_hopf_convergence():
     ws, bs = exact_hopf(3.0)
     e_beta, e_omega = [], []
     for n in (4, 6, 8, 10, 12, 14):
-        point = find_hopf(make_charfn(blowflies(mu=3.0), n), "beta", 2.0, 30.0)
+        point = find_hopf(make_system(blowflies(mu=3.0), n), "beta", 2.0, 30.0)
         e_beta.append(abs(point.alpha - bs))
         e_omega.append(abs(point.omega - ws))
     dec_b = all(a > b for a, b in zip(e_beta, e_beta[1:]))
@@ -140,8 +139,8 @@ def test_criterion_3_direction_coefficient_convergence():
     worst_gap, worst_c = 0.0, 0.0
     for mu in (2.0, 3.0, 5.0):
         ws, bs = exact_hopf(mu)
-        h0 = find_hopf(make_charfn0(blowflies(mu=mu)), "beta", ws + 0.05, bs + 0.5)
-        h15 = find_hopf(make_charfn(blowflies(mu=mu), 15), "beta", ws + 0.05, bs + 0.5)
+        h0 = find_hopf(make_system(blowflies(mu=mu)), "beta", ws + 0.05, bs + 0.5)
+        h15 = find_hopf(make_system(blowflies(mu=mu), 15), "beta", ws + 0.05, bs + 0.5)
         worst_gap = max(worst_gap, abs(h15.a2 - h0.a2))
         worst_c = max(worst_c, abs(h0.c - c0_closed(h0.omega)))
     ok = worst_gap < 1e-8 and worst_c < 1e-12
@@ -170,7 +169,7 @@ def test_criterion_5_spectral_equivalence():
         n = int(rng.integers(3, 11))
         model = make_model(1, [0.0, 1.0], ["b1*x0@0 + b2*x0@1"],
                            params={"b1": v1, "b2": v2}, equilibrium_hint=[0.0])
-        cf = make_charfn(model, n)
+        cf = make_system(model, n)
         for lam in eigenvalues(assemble_An(make_system(model, n))):
             worst_res = max(worst_res, abs(charfn_det(cf, lam)) / (1 + abs(lam)))
         eigs = list(eigenvalues(assemble_An(make_system(model, 2))))
@@ -183,7 +182,7 @@ def test_criterion_5_spectral_equivalence():
 
 
 def test_criterion_6_boundary_geometry():
-    seed = find_hopf(make_charfn(blowflies(mu=3.0), 10), "beta", 2.4, 29.0)
+    seed = find_hopf(make_system(blowflies(mu=3.0), 10), "beta", 2.4, 29.0)
     curve = trace_hopf_curve(blowflies(mu=3.0), ("mu", "beta"), seed, 0.25,
                              max_points=400, n=10)
     mus = curve.points[:, 0]

@@ -14,18 +14,14 @@ from chebdde.analytic import (
     c0_blowfly,
     cn_blowfly,
     dde_boundary,
-    delta0_dalpha,
-    delta0_dlambda,
-    delta0_eval,
     lag_solve_last,
     lambda_prime_n2,
     lambda_prime_n2_re,
-    make_charfn0,
     ps_boundary,
     to_mu_beta,
 )
 from chebdde.cheb_mesh import diff_matrix, make_mesh
-from chebdde.discretize import charfn_eval, make_charfn
+from chebdde.discretize import charfn_dalpha, charfn_dlambda, charfn_eval, make_system
 from chebdde.errors import SingularityError
 from chebdde.model import blowflies, fluidflow, make_model
 
@@ -85,38 +81,38 @@ def per_point_omegas(lo, hi, steps, n, margin=1e-3):
 
 
 def test_delta0_blowflies():
-    cf = make_charfn0(blowflies(MU, BETA))
+    cf = make_system(blowflies(MU, BETA))
     rng = np.random.default_rng(7)
     for _ in range(10):
         lam = complex(rng.uniform(-2, 2), rng.uniform(-4, 4))
         want = lam - B1 - B2 * cmath.exp(-lam)
-        assert abs(delta0_eval(cf, lam) - want) < 1e-13 * (1.0 + abs(want))
-    assert abs(delta0_eval(cf, 0.0) - (-(B1 + B2))) < 1e-13
+        assert abs(charfn_eval(cf, lam) - want) < 1e-13 * (1.0 + abs(want))
+    assert abs(charfn_eval(cf, 0.0) - (-(B1 + B2))) < 1e-13
 
 
 def test_delta0_dlambda():
-    cf = make_charfn0(blowflies(MU, BETA))
+    cf = make_system(blowflies(MU, BETA))
     lam = 0.4 - 1.9j
     want = 1.0 + B2 * cmath.exp(-lam)
-    assert abs(delta0_dlambda(cf, lam) - want) < 1e-13
+    assert abs(charfn_dlambda(cf, lam) - want) < 1e-13
     h = 1e-6
-    fd = (delta0_eval(cf, lam + h) - delta0_eval(cf, lam - h)) / (2 * h)
-    assert abs(delta0_dlambda(cf, lam) - fd) < 1e-8
+    fd = (charfn_eval(cf, lam + h) - charfn_eval(cf, lam - h)) / (2 * h)
+    assert abs(charfn_dlambda(cf, lam) - fd) < 1e-8
 
 
 def test_delta0_dalpha():
-    cf = make_charfn0(blowflies(MU, BETA))
+    cf = make_system(blowflies(MU, BETA))
     lam = 0.2 + 1.1j
     # the delayed coefficient mu(1 - ln(beta/mu)) moves by -mu/beta per beta
     want = (MU / BETA) * cmath.exp(-lam)
-    got = delta0_dalpha(cf, lam, "beta")
+    got = charfn_dalpha(cf, lam, "beta")
     assert abs(got - want) <= 1e-6 * (1.0 + abs(want))
 
 
 def test_delta0_fluidflow_matrix():
     k, c = 1.5, 1.5
-    cf = make_charfn0(fluidflow(k, c))
-    val = delta0_eval(cf, 0.5j)
+    cf = make_system(fluidflow(k, c))
+    val = charfn_eval(cf, 0.5j)
     # df/dw(t) = df/dw(t-1) = -1/c, df/dq(t-1) = -k c^2/2 at (c, 2/(k c^2))
     c0 = np.array([[-1.0 / c, 0.0], [1.0, 0.0]])
     c1 = np.array([[-1.0 / c, -k * c * c / 2.0], [0.0, 0.0]])
@@ -150,8 +146,8 @@ def test_dde_boundary_singularities():
 def test_dde_boundary_closes_delta0():
     for w in (0.5, 2.0, 2.9):
         b1, b2 = dde_boundary(w)
-        cf = make_charfn0(scalar_linear(b1, b2), equilibrium=[0.0])
-        assert abs(delta0_eval(cf, 1j * w)) < 1e-14 * (1.0 + abs(w))
+        cf = make_system(scalar_linear(b1, b2), equilibrium=[0.0])
+        assert abs(charfn_eval(cf, 1j * w)) < 1e-14 * (1.0 + abs(w))
 
 
 def test_ps_boundary_n2_closed_form():
@@ -189,7 +185,7 @@ def test_ps_boundary_closes_charfn():
     for n in (2, 3, 6, 10):
         for w in (0.7, 1.9, 2.8):
             b1, b2 = ps_boundary(n, w)
-            cf = make_charfn(scalar_linear(b1, b2), n, equilibrium=[0.0])
+            cf = make_system(scalar_linear(b1, b2), n, equilibrium=[0.0])
             assert abs(charfn_eval(cf, 1j * w)) < 1e-12 * (1.0 + abs(w) + abs(b2))
 
 
@@ -208,9 +204,9 @@ def test_ps_boundary_converges_to_dde():
 
 def test_transcritical_line():
     for n in (2, 5, 11):
-        cf = make_charfn(scalar_linear(0.8, -0.8), n, equilibrium=[0.0])
+        cf = make_system(scalar_linear(0.8, -0.8), n, equilibrium=[0.0])
         assert abs(charfn_eval(cf, 0.0)) < 1e-13
-        cf2 = make_charfn(scalar_linear(0.8, -0.5), n, equilibrium=[0.0])
+        cf2 = make_system(scalar_linear(0.8, -0.5), n, equilibrium=[0.0])
         assert abs(charfn_eval(cf2, 0.0) - (-0.3)) < 1e-13
 
 
@@ -222,7 +218,7 @@ def test_to_mu_beta():
     assert abs(mu - 3.0) < 1e-13 and abs(beta - 40.0) < 1e-13 * 40.0
     with pytest.raises(ValueError):
         to_mu_beta(1.0, -1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(SingularityError):
         to_mu_beta(-1e-300, -math.pi / 2)  # beta out of float range
 
 

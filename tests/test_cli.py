@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebdde import cli
-from chebdde.discretize import assemble_An, eigenvalues, make_charfn, make_system
+from chebdde.discretize import assemble_An, eigenvalues, make_system
 from chebdde.hopf import find_hopf
 from chebdde.model import blowflies
 
@@ -93,7 +97,7 @@ def test_hopf_json_matches_direct_search(capsys):
     ])
     assert code == 0
     doc = json.loads(out)
-    point = find_hopf(make_charfn(blowflies(mu=3.0), 10), "beta", 2.0, 30.0)
+    point = find_hopf(make_system(blowflies(mu=3.0), 10), "beta", 2.0, 30.0)
     assert doc["param"] == "beta"
     assert doc["alpha"] == point.alpha
     assert doc["omega"] == point.omega
@@ -348,3 +352,167 @@ def test_floating_point_warnings_stay_off_stderr(capsys, tmp_path):
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "no_convergence"
+
+
+def test_converge_unknown_param_reports_unknown_symbol(capsys):
+    # with no --alpha the study reads the parameter's value; an unknown name
+    # must be reported before that lookup
+    code, out, err = run(capsys, ["converge", "--model", "blowflies", "--param", "zz",
+                                  "--n-list", "4,6"])
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "unknown_symbol"
+    assert "zz" in payload["message"]
+
+
+@pytest.mark.parametrize("override", ["k=0", "c=0"])
+def test_fluidflow_without_equilibrium_exits_1(capsys, override):
+    # k c^2 = 0 leaves the flow model with no equilibrium
+    code, out, err = run(capsys, ["eig", "--model", "fluidflow", "--n", "4",
+                                  "--set", override])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "no_convergence"
+
+
+def test_chart_overflow_is_a_numerical_failure(capsys):
+    # beta overflows at the end point of the exact boundary near omega = pi
+    code, out, err = run(capsys, ["chart-blowfly", "--n", "8", "--omega-min", "2.5",
+                                  "--omega-max", "40", "--steps", "3"])
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "singular_point"
+    assert "overflows" in payload["message"]
+
+
+def test_simulate_component_out_of_range_is_a_usage_error(capsys, tmp_path):
+    # --component indexes the (n + 1) d entries of the collocation state
+    code, out, err = run(capsys, ["simulate", "--model", "blowflies", "--n", "4",
+                                  "--t-end", "2", "--history", "const:1", "--period",
+                                  "--component", "50", "--out", str(tmp_path / "t.csv")])
+    assert code == 2 and out == ""
+    assert err == "error: component must lie in [0, 5), got 50\n"
+    assert not (tmp_path / "t.csv").exists()
+
+
+# small pools for the in-process fuzz. Each option mostly draws from its
+# usable values, so most runs get past the parser and the model setup, and
+# sometimes from values the parser must reject; the usable ones include
+# zero, negative, huge and tiny numbers and an unknown parameter name.
+_PARAMS = {"blowflies": ["mu", "beta"], "fluidflow": ["k", "c"]}
+_NUMBERS = ["0", "-1", "0.5", "1.5", "3", "30", "1e300", "-1e300", "1e-320"]
+_SIZES = ["1", "2", "4", "8"]
+
+
+def _value(usable, bad=()):
+    """One value, a usable one three times as likely as a bad one."""
+    return st.sampled_from(list(usable) * 3 + list(bad))
+
+
+def _flag(flag, usable, bad=()):
+    return _value(usable, bad).map(lambda v: [flag, v])
+
+
+def _maybe(flag, usable, bad=()):
+    return st.one_of(st.just([]), _flag(flag, usable, bad))
+
+
+def _concat(*parts):
+    return st.tuples(*parts).map(lambda got: [arg for part in got for arg in part])
+
+
+def _degree():
+    return _flag("--n", _SIZES, ["0", "-3"])
+
+
+def _search():
+    """--omega, --alpha and one of --n / --analytic, or both."""
+    which = st.one_of(_degree(), _degree(), st.just(["--analytic"]),
+                      st.just(["--analytic", "--n", "4"]))
+    return _concat(_flag("--omega", ["2", "2.4", "1.1", "1e-300", "1e300"], ["0", "nan"]),
+                   _flag("--alpha", _NUMBERS, ["nan"]), which)
+
+
+def _commands(model_name, out, period_csv):
+    """An argv strategy per subcommand for one model, each followed by out."""
+    name = _value(_PARAMS[model_name], ["zz"])
+    model = st.just(["--model", model_name])
+    param = name.map(lambda p: ["--param", p])
+    pair = st.tuples(name, _value(_NUMBERS, ["nan", "inf", "x"]))
+    sets = st.lists(pair, max_size=2).map(
+        lambda pairs: [arg for p, v in pairs for arg in ("--set", f"{p}={v}")])
+    commands = {
+        "mesh": _concat(_degree()),
+        "eig": _concat(model, sets, _degree()),
+        "charfn": _concat(model, sets, _degree(),
+                          _flag("--lambda", ["0.1+2.3i", "0", "-3", "1e300i", "2i"],
+                                ["nan", "i"])),
+        "hopf": _concat(model, sets, param, _search()),
+        "lyap": _concat(model, sets, param, _search()),
+        "curve": _concat(model, sets,
+                         st.tuples(name, name).map(lambda two: ["--params", ",".join(two)]),
+                         _maybe("--seed-param", _PARAMS[model_name], ["zz"]), _search(),
+                         _flag("--step", ["0.5", "0.1", "1e300"], ["0"]),
+                         _flag("--max-points", ["1", "3", "5"], ["0"])),
+        "converge": _concat(model, sets, param,
+                            _flag("--n-list", ["4,6", "1,2", "8"], ["0", "4,x"]),
+                            _maybe("--reference", ["analytic", "finest"], ["bogus"]),
+                            _maybe("--omega", ["2", "1.1", "1e300"], ["0"]),
+                            _maybe("--alpha", _NUMBERS)),
+        "simulate": _concat(model, sets, _degree(),
+                            _flag("--t-end", ["0.5", "2", "5"], ["0", "nan"]),
+                            _flag("--history", ["const:1", "const:0", "const:1,2",
+                                                "const:nan", "expr:1+theta",
+                                                "expr:log(theta)", "expr:(", "expr:x0@0"],
+                                  ["linear:3"]),
+                            _value([[], ["--period", "--out", period_csv]], [["--period"]]),
+                            _maybe("--component", ["0", "1", "50", "-1"], ["x"]),
+                            _maybe("--skip", ["0.6", "0", "1", "-1"], ["nan"]),
+                            _maybe("--rel-tol", ["1e-6", "1e-300", "0.5"]),
+                            _maybe("--abs-tol", ["1e-9", "1e-300"], ["0"])),
+        "chart-blowfly": _concat(
+            _degree(),
+            _flag("--omega-min", ["0.1", "1.6", "2.5", "40"], ["0", "nan"]),
+            _flag("--omega-max", ["3", "40", "1e300", "0.5"]),
+            _flag("--steps", ["1", "3", "50"], ["0"])),
+    }
+    return {cmd: _concat(st.just([cmd]), args, out) for cmd, args in commands.items()}
+
+
+def _argv(command, out_dir):
+    out = _maybe("--out", [str(out_dir / "out.txt")], [str(out_dir / "absent" / "out.txt")])
+    period_csv = str(out_dir / "period.csv")  # --period prints JSON, so the CSV needs --out
+    return st.sampled_from(["blowflies", "fluidflow"]).flatmap(
+        lambda model_name: _commands(model_name, out, period_csv)[command])
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("command", ["mesh", "eig", "charfn", "hopf", "lyap", "curve",
+                                     "converge", "simulate", "chart-blowfly"])
+def test_cli_contract_holds_for_every_input(command, fuzz_dir):
+    """Every argv exits 0, 1 with one JSON error object on stderr, or 2 as a
+    usage error; no other exception escapes main."""
+
+    @settings(max_examples=50)
+    @given(argv=_argv(command, fuzz_dir))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, (argv, exc.code)
+                return
+        text = err.getvalue()
+        assert code in (0, 1, 2), (argv, code)
+        if code == 1:
+            assert text.count("\n") == 1, (argv, text)
+            assert "error" in json.loads(text), (argv, text)
+        elif code == 2:
+            # a usage problem the parser cannot see, such as an unwritable --out
+            assert text.startswith("error: ") and text.count("\n") == 1, (argv, text)
+
+    check()

@@ -6,7 +6,6 @@ import pytest
 
 from chebdde.cheb_mesh import interpolate
 from chebdde.discretize import (
-    CharFnN,
     assemble_An,
     charfn_dalpha,
     charfn_det,
@@ -15,7 +14,6 @@ from chebdde.discretize import (
     eigenvalues,
     eigvec_left,
     eigvec_right,
-    make_charfn,
     make_system,
     projection_apply,
     replicate,
@@ -139,7 +137,7 @@ def test_rhs_two_component_layout():
 
 
 def test_charfn_blowflies_n2_closed_form():
-    cf = make_charfn(blowflies(MU, BETA), 2)
+    cf = make_system(blowflies(MU, BETA), 2)
     rng = np.random.default_rng(11)
     for _ in range(20):
         lam = complex(rng.uniform(-2, 2), rng.uniform(-4, 4))
@@ -150,7 +148,7 @@ def test_charfn_blowflies_n2_closed_form():
 
 def test_charfn_at_zero():
     for n in (2, 5, 9):
-        cf = make_charfn(blowflies(MU, BETA), n)
+        cf = make_system(blowflies(MU, BETA), n)
         assert abs(charfn_eval(cf, 0.0) - (-(B1 + B2))) < 1e-12
 
 
@@ -161,7 +159,7 @@ def test_charfn_converges_to_exponential():
 
     gaps = []
     for n in (5, 8, 11, 14):
-        cf = make_charfn(blowflies(MU, BETA), n)
+        cf = make_system(blowflies(MU, BETA), n)
         gaps.append(abs(charfn_eval(cf, 1j) - delta0(1j)))
     for a, b in zip(gaps, gaps[1:]):
         assert b < a or b < 1e-13
@@ -169,7 +167,7 @@ def test_charfn_converges_to_exponential():
 
 
 def test_charfn_dlambda_n2_closed_form():
-    cf = make_charfn(blowflies(MU, BETA), 2)
+    cf = make_system(blowflies(MU, BETA), 2)
     rng = np.random.default_rng(13)
     for _ in range(20):
         lam = complex(rng.uniform(-2, 2), rng.uniform(-4, 4))
@@ -182,7 +180,7 @@ def test_charfn_dlambda_n2_closed_form():
 def test_charfn_dlambda_matches_fd():
     h = 1e-6
     for model, n in ((blowflies(MU, BETA), 7), (fluidflow(), 6)):
-        cf = make_charfn(model, n)
+        cf = make_system(model, n)
         rng = np.random.default_rng(17)
         for _ in range(10):
             lam = complex(rng.uniform(-1, 1), rng.uniform(-3, 3))
@@ -193,13 +191,13 @@ def test_charfn_dlambda_matches_fd():
 
 
 def test_charfn_dlambda_without_delay_term():
-    cf = make_charfn(scalar_linear(-3.0, 0.0), 5, equilibrium=[0.0])
+    cf = make_system(scalar_linear(-3.0, 0.0), 5, equilibrium=[0.0])
     for lam in (0.3, 1.0 + 2.0j, -0.5 - 1.0j):
         assert abs(charfn_dlambda(cf, lam) - 1.0) < 1e-14
 
 
 def test_charfn_dalpha_linear_coefficients():
-    cf = make_charfn(scalar_linear(-1.0, 0.4), 2, equilibrium=[0.0])
+    cf = make_system(scalar_linear(-1.0, 0.4), 2, equilibrium=[0.0])
     rng = np.random.default_rng(19)
     for _ in range(10):
         lam = complex(rng.uniform(-1, 1), rng.uniform(-2, 2))
@@ -212,7 +210,7 @@ def test_charfn_dalpha_linear_coefficients():
 def test_charfn_dalpha_tracks_equilibrium():
     # d Delta / d beta for the blowfly family: the delayed coefficient is
     # mu (1 - ln(beta/mu)), so its beta-derivative is -mu/beta
-    cf = make_charfn(blowflies(MU, BETA), 2)
+    cf = make_system(blowflies(MU, BETA), 2)
     lam = 0.7 + 1.3j
     want = (MU / BETA) * (4.0 - lam) / (lam * lam + 3.0 * lam + 4.0)
     got = charfn_dalpha(cf, lam, "beta")
@@ -223,41 +221,42 @@ def test_charfn_dalpha_unused_parameter():
     model = make_model(
         1, (0.0, 1.0), ("x0@0 - 2*x0@1",), {"a": 1.0}, equilibrium_hint=[0.0]
     )
-    cf = make_charfn(model, 4)
+    cf = make_system(model, 4)
     assert charfn_dalpha(cf, 1.0 + 1.0j, "a") == 0.0
     with pytest.raises(UnknownSymbolError):
         charfn_dalpha(cf, 1.0, "nope")
 
 
 def test_charfn_deterministic():
-    cf = make_charfn(blowflies(MU, BETA), 8)
+    cf = make_system(blowflies(MU, BETA), 8)
     lam = -0.3 + 2.1j
     first = charfn_eval(cf, lam)
     again = charfn_eval(cf, lam)  # cache hit
-    fresh = charfn_eval(make_charfn(blowflies(MU, BETA), 8), lam)
+    fresh = charfn_eval(make_system(blowflies(MU, BETA), 8), lam)
     assert first == again == fresh
 
 
 def test_spurious_lambda_conditioning_error():
     # the reduced differentiation matrix at n=2 has spectrum (-3 +/- i sqrt 7)/2
-    cf = make_charfn(blowflies(MU, BETA), 2)
+    cf = make_system(blowflies(MU, BETA), 2)
     spurious = (-3.0 + 1j * math.sqrt(7.0)) / 2.0
     with pytest.raises(ConditioningError):
         charfn_eval(cf, spurious)
 
 
 def test_with_param_rebuilds_equilibrium():
-    cf = make_charfn(blowflies(MU, BETA), 3)
-    moved = cf.with_param("beta", 60.0)
-    assert abs(moved.equilibrium[0] - math.log(20.0)) < 1e-12
-    want_b2 = MU * (1.0 - math.log(20.0))
-    assert abs(moved.linear.mats[1][0, 0] - want_b2) < 1e-12
+    for n in (3, None):
+        moved = make_system(blowflies(MU, BETA), n).with_param("beta", 60.0)
+        assert moved.n == n
+        assert abs(moved.equilibrium[0] - math.log(20.0)) < 1e-12
+        want_b2 = MU * (1.0 - math.log(20.0))
+        assert abs(moved.linear.mats[1][0, 0] - want_b2) < 1e-12
 
 
 def test_eigvec_right_residual():
     for model, n in ((blowflies(MU, BETA), 6), (fluidflow(), 5)):
         ps = make_system(model, n)
-        cf = make_charfn(model, n)
+        cf = make_system(model, n)
         a = assemble_An(ps)
         vals = eigenvalues(a)
         for lam in vals[:3]:
@@ -267,7 +266,7 @@ def test_eigvec_right_residual():
 
 
 def test_eigvec_right_zero_root():
-    cf = make_charfn(scalar_linear(1.0, -1.0), 6, equilibrium=[0.0])
+    cf = make_system(scalar_linear(1.0, -1.0), 6, equilibrium=[0.0])
     p = eigvec_right(cf, 0.0)
     assert np.max(np.abs(p - 1.0)) < 1e-13
 
@@ -276,7 +275,7 @@ def test_eigvec_right_n2_explicit():
     # closed-form eigenvector at a cubic eigenvalue: (1, (lam+4)/q, (4-lam)/q)
     coeffs = [1.0, 3.0 - B1, 4.0 - 3.0 * B1 + B2, -4.0 * (B1 + B2)]
     lam = sorted(np.roots(coeffs), key=lambda z: -z.real)[0]
-    cf = make_charfn(blowflies(MU, BETA), 2)
+    cf = make_system(blowflies(MU, BETA), 2)
     p = eigvec_right(cf, lam)
     q = lam * lam + 3.0 * lam + 4.0
     want = np.array([1.0, (lam + 4.0) / q, (4.0 - lam) / q])
@@ -284,7 +283,7 @@ def test_eigvec_right_n2_explicit():
 
 
 def test_eigvec_right_rejects_non_root():
-    cf = make_charfn(blowflies(MU, BETA), 4)
+    cf = make_system(blowflies(MU, BETA), 4)
     with pytest.raises(ValueError):
         eigvec_right(cf, 0.123 + 0.456j)
 
@@ -292,7 +291,7 @@ def test_eigvec_right_rejects_non_root():
 def test_eigvec_left_properties():
     for model, n in ((blowflies(MU, BETA), 6), (fluidflow(), 5)):
         ps = make_system(model, n)
-        cf = make_charfn(model, n)
+        cf = make_system(model, n)
         a = assemble_An(ps)
         lam = eigenvalues(a)[0]
         p = eigvec_right(cf, lam)
@@ -305,7 +304,7 @@ def test_eigvec_left_properties():
 def test_projection_idempotent():
     rng = np.random.default_rng(23)
     for model, n in ((blowflies(MU, BETA), 6), (fluidflow(), 4)):
-        cf = make_charfn(model, n)
+        cf = make_system(model, n)
         ps = make_system(model, n)
         lam = eigenvalues(assemble_An(ps))[0]
         for _ in range(5):
@@ -323,7 +322,7 @@ def test_resolvent_identity():
     rng = np.random.default_rng(29)
     for model, n in ((blowflies(MU, BETA), 8), (fluidflow(), 5)):
         ps = make_system(model, n)
-        cf = make_charfn(model, n)
+        cf = make_system(model, n)
         a = assemble_An(ps)
         size = (n + 1) * model.dim
         vals = eigenvalues(a)
@@ -340,7 +339,7 @@ def test_resolvent_identity():
 
 
 def test_resolvent_unit_head():
-    cf = make_charfn(blowflies(MU, BETA), 5)
+    cf = make_system(blowflies(MU, BETA), 5)
     zeta = np.zeros(6)
     zeta[0] = 1.0
     h = resolvent_apply(cf, 0.0, zeta)
@@ -351,7 +350,7 @@ def test_resolvent_unit_head():
 
 def test_resolvent_at_eigenvalue_fails():
     ps = make_system(blowflies(MU, BETA), 4)
-    cf = make_charfn(blowflies(MU, BETA), 4)
+    cf = make_system(blowflies(MU, BETA), 4)
     lam = eigenvalues(assemble_An(ps))[0]
     with pytest.raises(SingularityError):
         resolvent_apply(cf, lam, np.ones(5))
@@ -382,7 +381,7 @@ def test_eigenvalues_are_charfn_roots():
         b2 = float(rng.uniform(-5, 5))
         n = int(rng.integers(3, 11))
         model = scalar_linear(b1, b2)
-        cf = make_charfn(model, n, equilibrium=[0.0])
+        cf = make_system(model, n, equilibrium=[0.0])
         a = assemble_An(make_system(model, n, equilibrium=[0.0]))
         for lam in eigenvalues(a):
             res = abs(charfn_eval(cf, lam))
@@ -393,15 +392,15 @@ def test_eigenvalues_are_charfn_roots():
 
 
 def test_simplicity_guard():
-    cf = make_charfn(blowflies(MU, BETA), 4)
+    cf = make_system(blowflies(MU, BETA), 4)
     lam = eigenvalues(assemble_An(make_system(blowflies(MU, BETA), 4)))[0]
     q = eigvec_left(cf, lam)  # healthy simple root: no raise
     assert np.all(np.isfinite(q.real)) and np.all(np.isfinite(q.imag))
     # D1 Delta(lam) = 1 - b2 s(lam) with s independent of b2, so choosing
     # b2 = 1/s(1) zeros the derivative at lambda = 1 and must trip the guard
-    probe = make_charfn(scalar_linear(0.0, 1.0), 4, equilibrium=[0.0])
+    probe = make_system(scalar_linear(0.0, 1.0), 4, equilibrium=[0.0])
     s_at_one = 1.0 - charfn_dlambda(probe, 1.0)
-    degenerate = make_charfn(
+    degenerate = make_system(
         scalar_linear(0.0, float(1.0 / s_at_one.real)), 4, equilibrium=[0.0]
     )
     with pytest.raises(SimplicityError):

@@ -9,13 +9,11 @@ from chebdde.analytic import (
     c0_blowfly,
     cn_blowfly,
     dde_boundary,
-    delta0_eval,
     lambda_prime_n2_re,
-    make_charfn0,
     ps_boundary,
     to_mu_beta,
 )
-from chebdde.discretize import assemble_An, eigenvalues, make_charfn, make_system
+from chebdde.discretize import assemble_An, charfn_eval, eigenvalues, make_system
 from chebdde.errors import (
     ContinuationError,
     ConvergenceError,
@@ -26,7 +24,6 @@ from chebdde.errors import (
 from chebdde.hopf import (
     HopfPoint,
     ResonanceVerdict,
-    _an_matrix,
     convergence_study,
     direction_a2,
     find_hopf,
@@ -67,7 +64,7 @@ def boundary_blowflies(w):
 
 def test_find_hopf_matches_bisection_oracle():
     w_star, beta_star = blowfly_oracle()
-    h = find_hopf(make_charfn0(blowflies(MU, 25.0)), "beta", 2.4, 25.0)
+    h = find_hopf(make_system(blowflies(MU, 25.0)), "beta", 2.4, 25.0)
     assert abs(h.omega - w_star) < 1e-10
     assert abs(h.alpha - beta_star) < 1e-10
     assert h.param == "beta"
@@ -79,7 +76,7 @@ def test_find_hopf_matches_bisection_oracle():
 
 
 def test_find_hopf_quadratic_residual_tail():
-    h = find_hopf(make_charfn0(blowflies(MU, 25.0)), "beta", 2.4, 25.0)
+    h = find_hopf(make_system(blowflies(MU, 25.0)), "beta", 2.4, 25.0)
     tail = [
         (a, b) for a, b in zip(h.residuals, h.residuals[1:]) if a < 1e-4
     ]
@@ -93,7 +90,7 @@ def test_find_hopf_discretized_error_decreases():
     m = blowflies(MU, 25.0)
     beta_errs, omega_errs = [], []
     for n in (4, 6, 8, 10, 12):
-        h = find_hopf(make_charfn(m, n), "beta", 2.4, 25.0)
+        h = find_hopf(make_system(m, n), "beta", 2.4, 25.0)
         beta_errs.append(abs(h.alpha - beta_star))
         omega_errs.append(abs(h.omega - w_star))
     assert all(b < a for a, b in zip(beta_errs, beta_errs[1:]))
@@ -103,7 +100,7 @@ def test_find_hopf_discretized_error_decreases():
 
 
 def test_find_hopf_input_validation():
-    cf = make_charfn0(blowflies(MU, 25.0))
+    cf = make_system(blowflies(MU, 25.0))
     with pytest.raises(ValueError):
         find_hopf(cf, "beta", -2.0, 25.0)
     with pytest.raises(UnknownSymbolError):
@@ -111,13 +108,13 @@ def test_find_hopf_input_validation():
 
 
 def test_hopf_point_rejects_nonroot():
-    cf = make_charfn0(blowflies(MU, 25.0))
+    cf = make_system(blowflies(MU, 25.0))
     with pytest.raises(ValueError, match="does not solve"):
         hopf_point(cf, "beta", 2.4, 25.0)
 
 
 def test_sigma_and_a2_match_closed_forms():
-    h = find_hopf(make_charfn0(blowflies(MU, 25.0)), "beta", 2.4, 25.0)
+    h = find_hopf(make_system(blowflies(MU, 25.0)), "beta", 2.4, 25.0)
     b2 = MU * (1.0 - math.log(h.alpha / MU))
     ew = cmath.exp(-1j * h.omega)
     sigma_closed = ((MU / h.alpha) * ew / (1.0 + b2 * ew)).real
@@ -130,7 +127,7 @@ def test_sigma_and_a2_match_closed_forms():
 def test_diagnostic_wrappers_match_point_fields():
     # the wrappers re-solve the equilibrium from the model hint, so they
     # agree with the stored fields to roundoff, not bitwise
-    cf = make_charfn0(blowflies(MU, 25.0))
+    cf = make_system(blowflies(MU, 25.0))
     h = find_hopf(cf, "beta", 2.4, 25.0)
     assert abs(transversality(cf, h) - h.sigma) < 1e-13
     verdict = nonresonance(cf, h)
@@ -150,7 +147,7 @@ def test_transversality_n2_crossing_speed():
     # orientation to d/d b2, so sigma equals +Re lambda' here
     w = 1.7
     b1, b2 = ps_boundary(2, w)
-    h = hopf_point(make_charfn(linear_model(b1, b2), 2), "b2", w, b2)
+    h = hopf_point(make_system(linear_model(b1, b2), 2), "b2", w, b2)
     assert abs(h.sigma - lambda_prime_n2_re(w)) < 1e-12
     assert h.sigma > 0.0 and lambda_prime_n2_re(w) > 0.0
 
@@ -162,7 +159,7 @@ def test_transversality_zero_for_silent_parameter():
         1, (0.0, 1.0), ("b1*x0@0 + b2*x0@1 + a*x0@1^3",),
         {"b1": b1, "b2": b2, "a": 0.4}, equilibrium_hint=[0.0],
     )
-    cf = make_charfn0(m)
+    cf = make_system(m)
     h = hopf_point(cf, "a", w, 0.4)
     assert h.sigma == 0.0
     assert math.isnan(h.a2)
@@ -177,14 +174,14 @@ def test_transversality_zero_for_silent_parameter():
 def test_lyapunov_matches_boundary_closed_forms():
     w = 2.0
     m0 = boundary_blowflies(w)
-    cf0 = make_charfn0(m0)
+    cf0 = make_system(m0)
     h0 = hopf_point(cf0, "beta", w, m0.params["beta"])
     assert abs(h0.c - c0_blowfly(w)) < 1e-12
     assert abs(lyapunov_c(cf0, h0) - c0_blowfly(w)) < 1e-12
 
     mu5, beta5 = to_mu_beta(*ps_boundary(5, w))
     m5 = blowflies(mu5, beta5)
-    cf5 = make_charfn(m5, 5)
+    cf5 = make_system(m5, 5)
     h5 = hopf_point(cf5, "beta", w, beta5)
     assert abs(lyapunov_c(cf5, h5) - cn_blowfly(5, w)) < 1e-10
     assert abs(lyapunov_c(make_system(m5, 5), h5) - cn_blowfly(5, w)) < 1e-10
@@ -199,7 +196,7 @@ def test_lyapunov_odd_nonlinearity():
         1, (0.0, 1.0), ("b1*x0@0 + b2*x0@1 + a*x0@1^3",),
         {"b1": b1, "b2": b2, "a": a}, equilibrium_hint=[0.0],
     )
-    h = hopf_point(make_charfn0(m), "b2", w, b2)
+    h = hopf_point(make_system(m), "b2", w, b2)
     want = 3.0 * a * cmath.exp(-1j * w) / (1.0 + b2 * cmath.exp(-1j * w))
     assert abs(h.c - want) < 1e-13
 
@@ -207,7 +204,7 @@ def test_lyapunov_odd_nonlinearity():
 def test_lyapunov_linear_model_degenerate():
     w = 2.0
     b1, b2 = dde_boundary(w)
-    h = hopf_point(make_charfn0(linear_model(b1, b2)), "b2", w, b2)
+    h = hopf_point(make_system(linear_model(b1, b2)), "b2", w, b2)
     assert h.c == 0.0
     assert h.a2 == 0.0
     assert direction_a2(h) == 0.0
@@ -240,14 +237,14 @@ def test_two_loop_system_closed_form():
     c_closed = -(1 + 1j * w_star) / (2 * (2 + 1j * w_star))
     sigma_closed = -((1 + 1j * w_star) / (g_star * (2 + 1j * w_star))).real
 
-    h = find_hopf(make_charfn0(twoloop()), "g", 2.0, 2.2)
+    h = find_hopf(make_system(twoloop()), "g", 2.0, 2.2)
     assert abs(h.omega - w_star) < 1e-12
     assert abs(h.alpha - g_star) < 1e-12
     assert abs(h.c - c_closed) < 1e-13
     assert abs(h.sigma - sigma_closed) < 1e-13
     assert h.nonresonance.ok
 
-    hn = find_hopf(make_charfn(twoloop(), 12), "g", 2.0, 2.2)
+    hn = find_hopf(make_system(twoloop(), 12), "g", 2.0, 2.2)
     assert abs(hn.omega - w_star) < 1e-10
     assert abs(hn.alpha - g_star) < 1e-10
     assert abs(hn.c - c_closed) < 1e-10
@@ -267,9 +264,9 @@ def test_slaved_component_matches_scalar_coefficient():
         ("-mu*x0@0 + beta*x0@1*exp(-x0@1)", "x0@0 - x1@0"),
         {"mu": mu, "beta": beta}, equilibrium_hint=[xbar, xbar],
     )
-    h = hopf_point(make_charfn0(m), "beta", w, beta)
+    h = hopf_point(make_system(m), "beta", w, beta)
     assert abs(h.c - c0_blowfly(w)) < 1e-13
-    hn = hopf_point(make_charfn(m, 12), "beta", w, beta)
+    hn = hopf_point(make_system(m, 12), "beta", w, beta)
     assert abs(hn.c - c0_blowfly(w)) < 1e-9
 
 
@@ -286,9 +283,9 @@ def test_resonance_zero_root():
         1, (0.0, 0.5, 1.0), ("c0*x0@0 + c1*x0@1 + c2*x0@2 + x0@2^2",),
         {"c0": c0v, "c1": c1v, "c2": c2v}, equilibrium_hint=[0.0],
     )
-    cf = make_charfn0(m)
-    assert abs(delta0_eval(cf, 1j * w)) < 1e-14
-    assert abs(delta0_eval(cf, 0.0)) < 1e-14
+    cf = make_system(m)
+    assert abs(charfn_eval(cf, 1j * w)) < 1e-14
+    assert abs(charfn_eval(cf, 0.0)) < 1e-14
     with pytest.raises(ResonanceError, match="0 is a root"):
         hopf_point(cf, "c0", w, c0v)
 
@@ -307,15 +304,15 @@ def test_resonance_two_to_one():
         ("d0*x0@0 + d1*x0@1 + d2*x0@2 + d3*x0@3 + x0@3^2",),
         {"d0": d0, "d1": d1, "d2": d2, "d3": d3}, equilibrium_hint=[0.0],
     )
-    cf = make_charfn0(m)
-    assert abs(delta0_eval(cf, 2j * w)) < 1e-13
+    cf = make_system(m)
+    assert abs(charfn_eval(cf, 2j * w)) < 1e-13
     with pytest.raises(ResonanceError, match="two-to-one"):
         hopf_point(cf, "d0", w, d0)
 
 
 def test_nonresonance_interior_pass():
     m = blowflies(MU, 25.0)
-    h0 = find_hopf(make_charfn0(m), "beta", 2.4, 25.0)
+    h0 = find_hopf(make_system(m), "beta", 2.4, 25.0)
     assert h0.nonresonance.ok
     assert h0.nonresonance.failures == ()
     assert h0.nonresonance.axis_clearance is None
@@ -324,7 +321,7 @@ def test_nonresonance_interior_pass():
     assert all(margin > 1e-8 * (1 + k * h0.omega)
                for k, margin in h0.nonresonance.margins)
 
-    h10 = find_hopf(make_charfn(m, 10), "beta", 2.4, 25.0)
+    h10 = find_hopf(make_system(m, 10), "beta", 2.4, 25.0)
     assert h10.nonresonance.ok
     assert h10.nonresonance.near_axis == ()
     assert h10.nonresonance.axis_clearance > 0.5
@@ -333,7 +330,7 @@ def test_nonresonance_interior_pass():
 def test_nonresonance_corner_double_root():
     # at (b1, b2) = (1, -1) zero is a double characteristic root, so the
     # k = 0 margin collapses while k = 2 stays clear
-    cf = make_charfn0(linear_model(1.0, -1.0))
+    cf = make_system(linear_model(1.0, -1.0))
     h = HopfPoint(
         param="b2", alpha=-1.0, omega=1e-3, c=0.0, sigma=1.0, a2=0.0,
         simplicity_margin=1.0,
@@ -352,8 +349,8 @@ def test_nonresonance_n2_scan_covers_all_three_eigenvalues():
     # so no 1:k resonance is possible and the scan must come back clean
     w = 1.7
     b1, b2 = ps_boundary(2, w)
-    cf = make_charfn(linear_model(b1, b2), 2)
-    vals = eigenvalues(_an_matrix(cf))
+    cf = make_system(linear_model(b1, b2), 2)
+    vals = eigenvalues(assemble_An(cf))
     assert vals.shape == (3,)
     h = hopf_point(cf, "b2", w, b2)
     others = [v for v in vals if abs(v.imag - w) > 0.5 and abs(v.imag + w) > 0.5]
@@ -363,21 +360,12 @@ def test_nonresonance_n2_scan_covers_all_three_eigenvalues():
     assert abs(h.nonresonance.axis_clearance - abs(others[0].real)) < 1e-12
 
 
-def test_an_matrix_matches_full_assembly():
-    m = blowflies(MU, 25.0)
-    assert np.array_equal(_an_matrix(make_charfn(m, 7)),
-                          assemble_An(make_system(m, 7)))
-    m2 = twoloop()
-    assert np.array_equal(_an_matrix(make_charfn(m2, 5)),
-                          assemble_An(make_system(m2, 5)))
-
-
 def test_direction_a2_converges_with_n():
     m = blowflies(MU, 25.0)
-    h0 = find_hopf(make_charfn0(m), "beta", 2.4, 25.0)
+    h0 = find_hopf(make_system(m), "beta", 2.4, 25.0)
     errs = []
     for n in (6, 8, 10, 12, 15):
-        hn = find_hopf(make_charfn(m, n), "beta", 2.4, 25.0)
+        hn = find_hopf(make_system(m, n), "beta", 2.4, 25.0)
         errs.append(abs(hn.a2 - h0.a2))
     assert all(b < a for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 1e-8
@@ -386,8 +374,8 @@ def test_direction_a2_converges_with_n():
 def test_n15_matches_analytic_point():
     for mu in (2.0, 3.0, 5.0):
         m = blowflies(mu, 25.0)
-        h0 = find_hopf(make_charfn0(m), "beta", 2.4, 25.0)
-        h15 = find_hopf(make_charfn(m, 15), "beta", 2.4, 25.0)
+        h0 = find_hopf(make_system(m), "beta", 2.4, 25.0)
+        h15 = find_hopf(make_system(m, 15), "beta", 2.4, 25.0)
         assert abs(h15.alpha - h0.alpha) < 1e-8
         assert abs(h15.omega - h0.omega) < 1e-8
         assert abs(h15.a2 - h0.a2) < 1e-8
@@ -397,7 +385,7 @@ def test_nonresonance_margins_along_arc():
     for wg in (1.8, 2.1, 2.4, 2.7, 3.0):
         m = boundary_blowflies(wg)
         for n in (5, 10, 15):
-            h = find_hopf(make_charfn(m, n), "beta", wg, m.params["beta"])
+            h = find_hopf(make_system(m, n), "beta", wg, m.params["beta"])
             assert h.nonresonance.ok
             assert min(margin for _, margin in h.nonresonance.margins) > 0.1
 
@@ -406,7 +394,7 @@ def test_a2_parametrization_invariance():
     # the same family written with b2 as the bifurcation parameter: a2
     # transforms by the chain-rule factor db2/dbeta = -mu/beta
     m = blowflies(MU, 25.0)
-    h_beta = find_hopf(make_charfn0(m), "beta", 2.4, 25.0)
+    h_beta = find_hopf(make_system(m), "beta", 2.4, 25.0)
 
     def hint(params):
         return (1.0 - params["b2"] / params["mu"],)
@@ -415,7 +403,7 @@ def test_a2_parametrization_invariance():
         1, (0.0, 1.0), ("-mu*x0@0 + mu*exp(1 - b2/mu)*x0@1*exp(-x0@1)",),
         {"mu": MU, "b2": MU * (1.0 - math.log(25.0 / MU))}, hint_fn=hint,
     )
-    h_b2 = find_hopf(make_charfn0(m_b2), "b2", 2.4,
+    h_b2 = find_hopf(make_system(m_b2), "b2", 2.4,
                      MU * (1.0 - math.log(25.0 / MU)))
     assert abs(h_b2.omega - h_beta.omega) < 1e-12
     assert abs(h_b2.c - h_beta.c) < 1e-12
@@ -427,7 +415,7 @@ def test_trace_matches_parametric_boundary():
     w = 2.0
     b1s, b2s = dde_boundary(w)
     m = linear_model(b1s, b2s)
-    start = find_hopf(make_charfn0(m), "b2", w, b2s + 0.05)
+    start = find_hopf(make_system(m), "b2", w, b2s + 0.05)
     curve = trace_hopf_curve(m, ("b1", "b2"), start, 0.05, max_points=31)
     assert curve.names == ("b1", "b2")
     assert curve.points.shape == (31, 3)
@@ -450,7 +438,7 @@ def test_trace_step_sign_flip_reverses():
     w = 2.0
     b1s, b2s = dde_boundary(w)
     m = linear_model(b1s, b2s)
-    start = find_hopf(make_charfn0(m), "b2", w, b2s + 0.05)
+    start = find_hopf(make_system(m), "b2", w, b2s + 0.05)
     fwd = trace_hopf_curve(m, ("b1", "b2"), start, 0.05, max_points=31)
     rev = trace_hopf_curve(m, ("b1", "b2"), start, -0.05, max_points=31)
     assert np.array_equal(fwd.points, rev.points[::-1])
@@ -459,7 +447,7 @@ def test_trace_step_sign_flip_reverses():
 
 def test_trace_blowflies_against_analytic_chart():
     m = blowflies(MU, 25.0)
-    start = find_hopf(make_charfn0(m), "beta", 2.4, 25.0)
+    start = find_hopf(make_system(m), "beta", 2.4, 25.0)
     curve = trace_hopf_curve(m, ("mu", "beta"), start, 0.5, max_points=101)
     mu = curve.points[:, 0]
     beta = curve.points[:, 1]
@@ -477,7 +465,7 @@ def test_trace_blowflies_survives_overflowing_corrector():
     mu0 = 4.251273284166452
     w0, beta0 = blowfly_oracle(mu0)
     m = blowflies(mu0, beta0)
-    start = find_hopf(make_charfn(m, 10), "beta", w0, beta0)
+    start = find_hopf(make_system(m, 10), "beta", w0, beta0)
     curve = trace_hopf_curve(m, ("mu", "beta"), start, 0.25, max_points=200, n=10)
     assert len(curve.points) == 199
     mu = curve.points[:, 0]
@@ -503,7 +491,7 @@ def test_trace_fluidflow_single_branch():
     assert abs(w0 - 0.960189) < 1e-6
     kstar = 2.0 * w0**2 / c0**2
     m = fluidflow(kstar, c0)
-    start = hopf_point(make_charfn0(m), "k", w0, kstar)
+    start = hopf_point(make_system(m), "k", w0, kstar)
     curve = trace_hopf_curve(m, ("k", "c"), start, 0.1, max_points=41)
     k = curve.points[:, 0]
     c = curve.points[:, 1]
@@ -519,7 +507,7 @@ def test_trace_stalls_at_corner():
     w = 2.0
     b1s, b2s = dde_boundary(w)
     m = linear_model(b1s, b2s)
-    start = find_hopf(make_charfn0(m), "b2", w, b2s + 0.05)
+    start = find_hopf(make_system(m), "b2", w, b2s + 0.05)
     with pytest.raises(ContinuationError) as err:
         trace_hopf_curve(m, ("b1", "b2"), start, 0.1, max_points=4001)
     last = err.value.last_point
@@ -533,7 +521,7 @@ def test_trace_stalls_at_corner():
 
 def test_trace_input_validation():
     m = blowflies(MU, 25.0)
-    start = find_hopf(make_charfn0(m), "beta", 2.4, 25.0)
+    start = find_hopf(make_system(m), "beta", 2.4, 25.0)
     with pytest.raises(ValueError):
         trace_hopf_curve(m, ("mu", "mu"), start, 0.5)
     with pytest.raises(UnknownSymbolError):
