@@ -35,10 +35,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _column(cells) -> list:
+    """The _fmt text of one column's cells; a column of only floats or only
+    ints (bool excluded) is formatted in bulk."""
+    kinds = set(map(type, cells))
+    if kinds <= {float, np.float64}:
+        return list(map(repr, map(float, cells)))
+    if kinds <= {int, np.int64}:
+        return list(map(str, map(int, cells)))
+    return list(map(_fmt, cells))
+
+
 def _csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
+    """CSV text with _fmt cells, formatted column by column."""
+    columns = [_column(cells) for cells in zip(*rows, strict=True)]
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     return "\n".join(lines) + "\n"
 
 
@@ -312,7 +323,7 @@ def _cmd_simulate(args):
     traj = integrate(ps, sample_history(ps, phi), args.t_end,
                      rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     header = ["t"] + [f"y{i}" for i in range(model.dim)]
-    rows = [(t, *traj.states[k, : model.dim]) for k, t in enumerate(traj.times)]
+    rows = np.column_stack([traj.times, traj.states[:, : model.dim]]).tolist()
     outputs = [(_csv(header, rows), args.out)]
     if args.period:
         report = period_report(traj, component=args.component, skip=args.skip)

@@ -83,6 +83,15 @@ def _operators(n: int, delays: tuple) -> tuple:
     return mesh, diff, op
 
 
+def _require_degree(ps: "PsSystem", what: str):
+    """Refuse a degree-only operation on the delay equation itself."""
+    if ps.n is None:
+        raise ValueError(
+            f"{what} needs a collocation degree n; make_system(model) is the "
+            "delay equation itself, build the system with make_system(model, n)"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class PsSystem:
     """The model at one parameter point: its equilibrium and linearization,
@@ -122,6 +131,7 @@ class PsSystem:
         hit = self._lu.get(lam)
         if hit is not None:
             return hit[1]
+        _require_degree(self, "lag_solve")
         mat = self.diff.D - lam * np.eye(self.n)
         anorm = np.linalg.norm(mat, 1)
         lu, piv = lu_factor(mat.astype(complex))
@@ -181,6 +191,7 @@ def replicate(xbar, n: int) -> np.ndarray:
 def assemble_An(ps: PsSystem) -> np.ndarray:
     """Dense linearized matrix; top block row couples the delays, the lower
     rows are the model-independent differentiation blocks (-D1 | D) x I_d."""
+    _require_degree(ps, "assemble_An")
     d = ps.model.dim
     k = len(ps.model.delays)
     size = (ps.n + 1) * d
@@ -194,7 +205,9 @@ def assemble_An(ps: PsSystem) -> np.ndarray:
 def rhs(ps: PsSystem, state) -> np.ndarray:
     """Full nonlinear vector field: one product with the precomputed state
     operator gives the lag values at -tau_k (node 0 evaluates the model on
-    them) and the differentiated tail (nodes 1..n)."""
+    them) and the differentiated tail (nodes 1..n). integrate forms its
+    later stages the same way in place; this is the one-shot form."""
+    _require_degree(ps, "rhs")
     k = len(ps.model.delays)
     z = ps.op.dot(np.asarray(state, dtype=float).reshape(ps.n + 1, ps.model.dim))
     out = np.empty((ps.n + 1, ps.model.dim))
@@ -271,6 +284,7 @@ def _as_matrix(val) -> np.ndarray:
 
 def eigvec_right(ps: PsSystem, lam: complex, p_star=None) -> np.ndarray:
     """Eigenvector (p_star, p_star x_1, ..., p_star x_n) of A_n at lambda."""
+    _require_degree(ps, "eigvec_right")
     lam = complex(lam)
     delta = _as_matrix(charfn_eval(ps, lam))
     if p_star is None:
@@ -315,6 +329,7 @@ def _simplicity_margin(ps: PsSystem, lam: complex) -> float:
 def eigvec_left(ps: PsSystem, lam: complex, p: Optional[np.ndarray] = None) -> np.ndarray:
     """Adjoint eigenvector of A_n at a simple root, scaled so q . p = 1 in the
     bilinear (unconjugated) pairing."""
+    _require_degree(ps, "eigvec_left")
     lam = complex(lam)
     if _simplicity_margin(ps, lam) < 1e-10 * (1.0 + abs(lam)):
         raise SimplicityError(
@@ -341,6 +356,7 @@ def eigvec_left(ps: PsSystem, lam: complex, p: Optional[np.ndarray] = None) -> n
 
 def resolvent_apply(ps: PsSystem, lam: complex, zeta) -> np.ndarray:
     """Solve (lambda I - A_n) h = zeta with two lag solves and a d x d solve."""
+    _require_degree(ps, "resolvent_apply")
     lam = complex(lam)
     d, n = ps.dim, ps.n
     zeta = np.asarray(zeta, dtype=complex).reshape(n + 1, d)

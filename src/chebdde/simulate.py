@@ -5,20 +5,23 @@ as-last optimization; it is explicit, so the mesh degree sets the admissible
 step through the spectrum of the differentiation blocks. It runs on the
 degree-n system make_system(model, n), the same object the characteristic
 function is evaluated on (make_system(model) is the delay equation itself,
-which has no state vector to step). Each stage evaluates the vector field
-as one product with the state operator shared by every system of that
-degree (lag rows over the differentiation rows) plus one call of the model
-right-hand side, compiled on first use. Periods are measured from upward
-crossings of the post-transient mean level, which is robust to the
-asymmetric spike shapes these models produce.
+which has no state vector to step, and is refused). Each stage evaluates
+the vector field as one product with the state operator shared by every
+system of that degree (lag rows over the differentiation rows) plus one
+call of the model right-hand side, compiled on first use. The first stage
+is the one-shot discretize.rhs; the later ones are formed in place in
+preallocated memory with the same floating-point operations, so the
+trajectory is bit for bit the one an rhs call per stage gives. Periods are
+measured from upward crossings of the post-transient mean level, which is
+robust to the asymmetric spike shapes these models produce.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import PsSystem, make_system, replicate, rhs
+from .discretize import PsSystem, _require_degree, make_system, replicate, rhs
 from .errors import (
     EvalDomainError,
     IntegrationError,
@@ -61,11 +64,18 @@ _ERR = _B5 - _B4
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted integration points: times, full states, step error estimates."""
+    """Accepted integration points: times, full states, step error estimates.
+
+    stats holds the run counters of integrate: rhs_evals, accepted and
+    rejected steps (a step that left the finite range counts as rejected),
+    and the smallest and largest accepted step (nan when none was
+    accepted).
+    """
 
     times: np.ndarray
     states: np.ndarray
     errors: np.ndarray
+    stats: dict = field(default_factory=dict)
 
     def component(self, index: int) -> np.ndarray:
         return self.states[:, index]
@@ -76,6 +86,7 @@ def sample_history(ps: PsSystem, phi) -> np.ndarray:
 
     phi may return a scalar (broadcast over components) or a length-d vector.
     """
+    _require_degree(ps, "sample_history")
     d = ps.model.dim
     out = np.empty((ps.n + 1, d))
     for j, theta in enumerate(ps.mesh.nodes):
@@ -98,25 +109,32 @@ def integrate(
 ) -> Trajectory:
     """Adaptive 5(4) integration of y' = rhs(ps, y) from t = 0 to t_end.
 
-    Returns the accepted points. Raises IntegrationError with the partial
-    trajectory attached on step underflow or a non-finite state.
+    Returns the accepted points, with run counters in Trajectory.stats.
+    The first stage is the one-shot rhs(ps, y); every later stage is formed
+    in place in preallocated memory with one product with the state
+    operator, and its rounding is that of rhs on the same state. Raises
+    IntegrationError with the partial trajectory attached on step underflow
+    or a non-finite state.
     """
+    _require_degree(ps, "integrate")
     for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
         if not 1e-12 <= tol <= 1e-2:
             raise ValueError(f"{name} must lie in [1e-12, 1e-2], got {tol}")
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     y = np.asarray(y0, dtype=float).copy()
-    size = (ps.n + 1) * ps.model.dim
+    d = ps.model.dim
+    size = (ps.n + 1) * d
     if y.shape != (size,):
         raise ValueError(f"state must have shape ({size},), got {y.shape}")
 
     times = [0.0]
     states = [y.copy()]
     errors = [0.0]
+    rejected = 0
 
     def fail(message):
-        traj = Trajectory(np.array(times), np.array(states), np.array(errors))
+        traj = _trajectory(times, states, errors, rejected)
         raise IntegrationError(message, trajectory=traj)
 
     f0 = rhs(ps, y)
@@ -126,33 +144,78 @@ def integrate(
     h = 0.01 * d0 / d1 if d1 > 1e-8 and d0 > 1e-8 else 1e-3
     h = float(min(h, 0.1, t_end))
 
-    t = 0.0
+    op, rhs_fn = ps.op, ps.rhs_fn
+    lags = len(ps.model.delays)
     k = np.empty((7, size))
     k[0] = f0
+    # stage i: its tableau row, the earlier stages it combines, and the head
+    # (node 0, the model at the lag values) and tail (differentiated nodes)
+    # of the stage derivative it writes
+    stages = [
+        (_A[i, :i], k[:i], k[i, :d], k[i, d:].reshape(ps.n, d)) for i in range(1, 7)
+    ]
+    stage = np.empty(size)
+    stage_nodes = stage.reshape(ps.n + 1, d)
+    z = np.empty((len(op), d))
+    z_lags, z_tail = z[:lags], z[lags:]
+    abs_y = np.abs(y)
+    t = 0.0
     while t < t_end:
         if h < 1e-12 * max(1.0, abs(t)):
             fail(f"step size underflow at t={t!r}")
         h = min(h, t_end - t)
-        # ndarray.dot: less per-call overhead than @ on arrays this small
-        for i in range(1, 7):
-            k[i] = rhs(ps, y + h * _A[i, :i].dot(k[:i]))
-        y_new = y + h * _B5.dot(k)
+        # the rounding of y + h * (row . prev) and of rhs; ndarray.dot has
+        # less per-call overhead than np.dot or @ on arrays this small
+        for row, prev, head, tail in stages:
+            np.multiply(row.dot(prev), h, out=stage)
+            stage += y
+            op.dot(stage_nodes, out=z)
+            try:
+                head[:] = rhs_fn(z_lags)
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise EvalDomainError(str(exc), "model rhs at node 0") from None
+            tail[:] = z_tail
+        y_new = np.multiply(_B5.dot(k), h)
+        y_new += y
         if not np.isfinite(y_new).all():
+            rejected += 1
             fail(f"non-finite state at t={t!r}")
-        err_vec = h * _ERR.dot(k)
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        e = err_vec / scale
+        e = np.multiply(_ERR.dot(k), h)
+        abs_y_new = np.abs(y_new)
+        scale = np.maximum(abs_y, abs_y_new)
+        scale *= rel_tol
+        scale += abs_tol
+        e /= scale
         err = math.sqrt(e.dot(e) / size)
         if err <= 1.0:
             t += h
             y = y_new
+            abs_y = abs_y_new
             k[0] = k[6]  # first-same-as-last
             times.append(t)
             states.append(y)
             errors.append(err)
+        else:
+            rejected += 1
         factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
         h *= min(5.0, max(0.2, factor))
-    return Trajectory(np.array(times), np.array(states), np.array(errors))
+    return _trajectory(times, states, errors, rejected)
+
+
+def _trajectory(times, states, errors, rejected) -> Trajectory:
+    """The accepted points with their run counters; every attempted step
+    (accepted or rejected) makes six rhs evaluations after the first one."""
+    times = np.array(times)
+    steps = np.diff(times)
+    accepted = len(steps)
+    stats = {
+        "rhs_evals": 1 + 6 * (accepted + rejected),
+        "accepted": accepted,
+        "rejected": rejected,
+        "h_min": float(steps.min()) if accepted else math.nan,
+        "h_max": float(steps.max()) if accepted else math.nan,
+    }
+    return Trajectory(times, np.array(states), np.array(errors), stats)
 
 
 def _refined_crossing(times, x, i, level):

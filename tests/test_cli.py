@@ -516,3 +516,31 @@ def test_cli_contract_holds_for_every_input(command, fuzz_dir):
             assert text.startswith("error: ") and text.count("\n") == 1, (argv, text)
 
     check()
+
+
+_CELLS = [
+    st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.text(max_size=4),
+]
+
+
+@st.composite
+def _tables(draw):
+    n_rows = draw(st.integers(0, 5))
+    kinds = draw(st.lists(st.sampled_from(_CELLS + [st.one_of(_CELLS)]),
+                          min_size=1, max_size=4))
+    columns = [draw(st.lists(kind, min_size=n_rows, max_size=n_rows)) for kind in kinds]
+    return [f"c{i}" for i in range(len(kinds))], [list(row) for row in zip(*columns)]
+
+
+@given(_tables())
+def test_csv_matches_the_per_cell_format(table):
+    header, rows = table
+    expected = "\n".join(
+        [",".join(header)] + [",".join(cli._fmt(cell) for cell in row) for row in rows]
+    ) + "\n"
+    assert cli._csv(header, rows) == expected

@@ -405,3 +405,18 @@ def test_simplicity_guard():
     )
     with pytest.raises(SimplicityError):
         eigvec_left(degenerate, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ps: rhs(ps, np.ones(1)),
+    lambda ps: assemble_An(ps),
+    lambda ps: ps.lag_solve(1j),
+    lambda ps: eigvec_right(ps, 1j),
+    lambda ps: eigvec_left(ps, 1j),
+    lambda ps: resolvent_apply(ps, 1j, np.ones(1)),
+], ids=["rhs", "assemble_An", "lag_solve", "eigvec_right", "eigvec_left",
+        "resolvent_apply"])
+def test_degree_only_operations_refuse_the_delay_equation(call):
+    with pytest.raises(ValueError, match="needs a collocation degree") as err:
+        call(make_system(blowflies(3.0, 25.0)))
+    assert "make_system(model, n)" in str(err.value)

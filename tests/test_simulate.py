@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from chebdde.discretize import make_system, replicate
+from chebdde.discretize import make_system, replicate, rhs
 from chebdde.errors import (
     EvalDomainError,
     IntegrationError,
@@ -16,6 +16,9 @@ from chebdde.errors import (
 )
 from chebdde.model import blowflies, fluidflow, make_model
 from chebdde.simulate import (
+    _A,
+    _B5,
+    _ERR,
     Trajectory,
     bracket_period_doubling,
     estimate_period,
@@ -105,6 +108,10 @@ def test_integrate_blowup_aborts_with_partial_trajectory():
     assert 0.49 < traj.times[-1] < 0.6
     assert np.all(np.isfinite(traj.states))
     assert err.value.payload()["error"] == "integration_failure"
+    stats = traj.stats
+    assert stats["accepted"] == len(traj.times) - 1
+    assert stats["rejected"] >= 1  # the step that left the finite range
+    assert stats["rhs_evals"] == 1 + 6 * (stats["accepted"] + stats["rejected"])
 
 
 def test_trajectory_fields_consistent():
@@ -247,3 +254,95 @@ def test_bracket_validation():
         bracket_period_doubling(m, "gamma", (90.0, 110.0), 20)
     with pytest.raises(ValueError):
         bracket_period_doubling(m, "beta", (90.0, 110.0), 20, tol=0.0)
+
+
+def reference_integrate(ps, y0, t_end, rel_tol=1e-6, abs_tol=1e-9):
+    """The stepper as first written: every stage is a call of rhs."""
+    y = np.asarray(y0, dtype=float).copy()
+    size = y.shape[0]
+    times, states, errors = [0.0], [y.copy()], [0.0]
+    f0 = rhs(ps, y)
+    scale = abs_tol + rel_tol * np.abs(y)
+    d0 = np.sqrt(np.mean((y / scale) ** 2))
+    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
+    h = 0.01 * d0 / d1 if d1 > 1e-8 and d0 > 1e-8 else 1e-3
+    h = float(min(h, 0.1, t_end))
+    t = 0.0
+    k = np.empty((7, size))
+    k[0] = f0
+    while t < t_end:
+        h = min(h, t_end - t)
+        for i in range(1, 7):
+            k[i] = rhs(ps, y + h * _A[i, :i].dot(k[:i]))
+        y_new = y + h * _B5.dot(k)
+        err_vec = h * _ERR.dot(k)
+        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        e = err_vec / scale
+        err = math.sqrt(e.dot(e) / size)
+        if err <= 1.0:
+            t += h
+            y = y_new
+            k[0] = k[6]
+            times.append(t)
+            states.append(y)
+            errors.append(err)
+        factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
+        h *= min(5.0, max(0.2, factor))
+    return np.array(times), np.array(states), np.array(errors)
+
+
+def three_delay_model():
+    return make_model(1, (0.0, 0.4, 1.0), ("-2*x0@0 + 3*x0@2*exp(-x0@1)",), {},
+                      equilibrium_hint=[1.0])
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        (lambda: blowflies(7.0, 105.0), 20, 2.0, 20.0),
+        (lambda: fluidflow(1.5, 1.5), 8, np.array([0.3, 2.2]), 30.0),
+        (three_delay_model, 12, 0.7, 20.0),
+    ],
+    ids=["blowflies", "fluidflow", "three_delays"],
+)
+def test_in_place_stages_match_rhs_per_stage_bit_for_bit(case):
+    make, n, value, t_end = case
+    ps = make_system(make(), n)
+    y0 = sample_history(ps, lambda th: value + 0.3 * np.sin(3.0 * th))
+    traj = integrate(ps, y0, t_end, rel_tol=1e-7)
+    times, states, errors = reference_integrate(ps, y0, t_end, rel_tol=1e-7)
+    assert len(times) > 100
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.errors, errors)
+
+
+def test_domain_error_inside_a_stage():
+    # x' = -1 from x = 0.5 reaches log's domain boundary at t = 0.5; the
+    # first stage at t = 0 is fine, so a later stage trips the guard
+    m = make_model(1, (0.0, 1.0), ("-1 + 0*log(x0@0)",), {}, equilibrium_hint=[1.0])
+    ps = make_system(m, 4, equilibrium=[1.0])
+    with pytest.raises(EvalDomainError) as err:
+        integrate(ps, sample_history(ps, lambda th: 0.5), 2.0)
+    assert str(err.value) == "math domain error in 'model rhs at node 0'"
+
+
+def test_run_counters_invariants():
+    _, _, traj = blowflies_run()
+    stats = traj.stats
+    # the counts of the criterion-7 run, unchanged by the in-place stages
+    assert (stats["accepted"], stats["rejected"]) == (15335, 141)
+    assert stats["accepted"] == len(traj.times) - 1
+    assert stats["rhs_evals"] == 1 + 6 * (stats["accepted"] + stats["rejected"])
+    steps = np.diff(traj.times)
+    assert stats["h_min"] == steps.min() and stats["h_max"] == steps.max()
+    assert 0.0 < stats["h_min"] <= stats["h_max"]
+
+
+@pytest.mark.parametrize("call", [
+    lambda ps: integrate(ps, np.ones(1), 1.0),
+    lambda ps: sample_history(ps, lambda th: 1.0),
+], ids=["integrate", "sample_history"])
+def test_degree_only_operations_refuse_the_delay_equation(call):
+    with pytest.raises(ValueError, match="needs a collocation degree"):
+        call(make_system(blowflies(3.0, 25.0)))

@@ -1,8 +1,13 @@
 """The model at a parameter point as one object, and the layer exports."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
+
+import chebdde
 
 from chebdde.discretize import charfn_eval, make_system
 from chebdde.model import blowflies
@@ -31,3 +36,16 @@ def test_rhs_compiles_on_first_use():
     charfn_eval(ps, 1j)
     assert "rhs_fn" not in vars(ps)  # analysis never compiles the rhs
     assert ps.rhs_fn is ps.rhs_fn
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # importing scipy.integrate on top of chebdde.cli raises the peak RSS
+    # from 57.8 to 79.6 MB (+21.8 MB) and costs about 0.2 s, on every
+    # command; an integrator from it has to be weighed against that
+    src = os.path.dirname(os.path.dirname(chebdde.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, chebdde.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
