@@ -15,7 +15,8 @@ shifts lambda. The differentiation block D is factored once per degree in
 real Schur form D = Z T Z^T, and each batch of shifts is one vectorised back
 substitution against T, so a whole chart costs a handful of batched solves.
 No eigendecomposition of D is used: D is far from normal and its
-eigenvectors are ill-conditioned, while Z is orthogonal.
+eigenvectors are ill-conditioned, while Z is orthogonal. schur is imported
+on first use, so commands without a degree-n chart never load scipy.linalg.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import schur
 
 from .cheb_mesh import diff_matrix, make_mesh
 from .errors import SingularityError
@@ -85,6 +85,7 @@ def _schur_factor(n: int):
     one up (1 x 1 for a real eigenvalue, 2 x 2 for a complex pair), the
     column Z^T D 1 and the last row of Z.
     """
+    from scipy.linalg import schur
     diff = diff_matrix(make_mesh(n))
     t, z = schur(diff.D, output="real")
     blocks, i = [], 0

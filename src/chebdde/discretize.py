@@ -16,18 +16,20 @@ charfn_* functions evaluate Delta with its lambda- and parameter-derivatives
 for both, and at a degree the eigenvectors on both sides and a resolvent
 that never forms (lambda I - A_n) are available too.
 
+Lag solves call LAPACK directly, bound on the first degree-n solve: importing
+scipy.linalg is most of the CLI's start-up time and memory, and time stepping,
+spectra and the delay equation itself never solve with D.
+
 State layout is (y_0, y_1, ..., y_n) blocked by node, each block of size d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import zgecon
 
 from ._expr import compile_rhs
 from .analytic import delta0_lags
@@ -83,6 +85,24 @@ def _operators(n: int, delays: tuple) -> tuple:
     return mesh, diff, op
 
 
+@cache
+def _lapack() -> tuple:
+    """LAPACK's zgetrf, zgetrs and zgecon, bound on the first degree-n solve."""
+    from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
+    return zgetrf, zgetrs, zgecon
+
+
+def lu_factor(a) -> tuple:
+    """LU factors (lu, piv) as scipy.linalg.lu_factor gives; ValueError on inf/NaN."""
+    lu, piv, _ = _lapack()[0](np.asarray_chkfinite(a))
+    return lu, piv
+
+
+def _lu_solve(factors: tuple, b) -> np.ndarray:
+    """Solve with LU factors from lu_factor."""
+    return _lapack()[1](*factors, b)[0]
+
+
 def _require_degree(ps: "PsSystem", what: str):
     """Refuse a degree-only operation on the delay equation itself."""
     if ps.n is None:
@@ -133,15 +153,14 @@ class PsSystem:
             return hit[1]
         _require_degree(self, "lag_solve")
         mat = self.diff.D - lam * np.eye(self.n)
-        anorm = np.linalg.norm(mat, 1)
-        lu, piv = lu_factor(mat.astype(complex))
-        rcond, info = zgecon(lu, anorm)
+        lu, piv = lu_factor(mat)
+        rcond, info = _lapack()[2](lu, np.linalg.norm(mat, 1))
         if info != 0 or rcond < 1.0 / COND_LIMIT:
             raise ConditioningError(
                 f"(D - lambda I) is numerically singular at lambda={lam} "
                 f"(rcond={rcond:.2e}); lambda sits near a spurious eigenvalue of D"
             )
-        x = lu_solve((lu, piv), -self.diff.d0)  # D 1 = -d0
+        x = _lu_solve((lu, piv), -self.diff.d0)  # D 1 = -d0
         if len(self._lu) > 512:
             self._lu.clear()
         self._lu[lam] = ((lu, piv), x)
@@ -158,7 +177,7 @@ class PsSystem:
         x = self.lag_solve(lam)
         head = 1.0
         if order == 1:
-            x, head = lu_solve(self._lu[lam][0], x), 0.0
+            x, head = _lu_solve(self._lu[lam][0], x), 0.0
         return [
             row[0] * head + row[1:] @ x
             for row in self.op[: len(self.model.delays)]
@@ -355,20 +374,19 @@ def eigvec_left(ps: PsSystem, lam: complex, p: Optional[np.ndarray] = None) -> n
 
 
 def resolvent_apply(ps: PsSystem, lam: complex, zeta) -> np.ndarray:
-    """Solve (lambda I - A_n) h = zeta with two lag solves and a d x d solve."""
+    """Solve (lambda I - A_n) h = zeta with the lag solve's LU and a d x d solve."""
     _require_degree(ps, "resolvent_apply")
     lam = complex(lam)
     d, n = ps.dim, ps.n
-    zeta = np.asarray(zeta, dtype=complex).reshape(n + 1, d)
+    zeta = np.asarray_chkfinite(zeta, dtype=complex).reshape(n + 1, d)
     delta = _as_matrix(charfn_eval(ps, lam))
     smin = np.linalg.svd(delta, compute_uv=False)[-1]
     if smin < 1e-10 * (1.0 + abs(lam)):
         raise SingularityError(
             f"lambda={lam} is an eigenvalue: Delta_n is singular"
         )
-    lu = lu_factor(lam * np.eye(n) - ps.diff.D.astype(complex))
-    x_part = lu_solve(lu, zeta[1:])
-    x_eig = lu_solve(lu, ps.diff.d0.astype(complex))  # equals (D-lam I)^{-1} D 1
+    x_eig = ps.lag_solve(lam)  # (D - lambda I)^{-1} D 1
+    x_part = -_lu_solve(ps._lu[lam][0], zeta[1:])
     head_rhs = zeta[0].copy()
     for row, mat in zip(ps.op[: len(ps.linear.mats)], ps.linear.mats):
         head_rhs += mat @ (row[1:] @ x_part)

@@ -3,6 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import zgecon
 
 from chebdde.cheb_mesh import interpolate
 from chebdde.discretize import (
@@ -420,3 +424,70 @@ def test_degree_only_operations_refuse_the_delay_equation(call):
     with pytest.raises(ValueError, match="needs a collocation degree") as err:
         call(make_system(blowflies(3.0, 25.0)))
     assert "make_system(model, n)" in str(err.value)
+
+
+def _reference_solves(ps, lam, zeta):
+    """The lag solve, lag_values(order=1) and resolvent_apply computed with
+    scipy.linalg's LU wrappers, as the library did before it called LAPACK
+    directly; None where the conditioning guard refuses the shift."""
+    k, d, n = len(ps.model.delays), ps.dim, ps.n
+    mat = ps.diff.D - lam * np.eye(n)
+    factors = lu_factor(mat.astype(complex))
+    rcond, info = zgecon(factors[0], np.linalg.norm(mat, 1))
+    if info != 0 or rcond < 1e-14:
+        return None
+    x = lu_solve(factors, -ps.diff.d0)
+    dx = lu_solve(factors, x)
+    lag = [row[0] * 1.0 + row[1:] @ x for row in ps.op[:k]]
+    dlag = [row[0] * 0.0 + row[1:] @ dx for row in ps.op[:k]]
+    resolvent_lu = lu_factor(lam * np.eye(n) - ps.diff.D.astype(complex))
+    x_part = lu_solve(resolvent_lu, zeta[1:])
+    x_eig = lu_solve(resolvent_lu, ps.diff.d0.astype(complex))
+    delta = lam * np.eye(d).astype(complex)
+    for c, val in zip(ps.linear.mats, lag):
+        delta -= c * val
+    head_rhs = zeta[0].copy()
+    for row, c in zip(ps.op[:k], ps.linear.mats):
+        head_rhs += c @ (row[1:] @ x_part)
+    h0 = np.linalg.solve(delta, head_rhs)
+    tail = x_part + np.outer(x_eig, h0)
+    return x, dlag, np.concatenate([h0, tail.reshape(-1)])
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(1, 48),
+    two_dim=st.booleans(),
+    lam=st.complex_numbers(max_magnitude=40.0),
+    seed=st.integers(0, 2**16),
+)
+def test_lapack_solves_match_scipy_wrappers(n, two_dim, lam, seed):
+    model = fluidflow() if two_dim else blowflies(MU, BETA)
+    ps = make_system(model, n)
+    d = model.dim
+    rng = np.random.default_rng(seed)
+    zeta = rng.normal(size=(n + 1, d)) + 1j * rng.normal(size=(n + 1, d))
+    want = _reference_solves(ps, lam, zeta)
+    if want is None:
+        with pytest.raises(ConditioningError):
+            resolvent_apply(ps, lam, zeta.reshape(-1))
+    else:
+        x, dlag, h = want
+        got = ps.lag_solve(lam)
+        assert np.array_equal(got, x)
+        assert ps.lag_solve(lam) is got  # a cache hit returns the cached array
+        assert np.array_equal(ps.lag_values(lam, 1), dlag)
+        assert np.array_equal(resolvent_apply(ps, lam, zeta.reshape(-1)), h)
+
+    for bad in (complex(math.inf, 0.0), complex(0.0, math.nan)):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            ps.lag_solve(bad)
+    with pytest.raises(ValueError):
+        resolvent_apply(ps, lam, np.full((n + 1) * d, math.inf))
+
+    at_d = np.linalg.eigvals(ps.diff.D)[seed % n]
+    fresh = make_system(model, n)
+    with pytest.raises(ConditioningError):
+        resolvent_apply(fresh, at_d, zeta.reshape(-1))
+    with pytest.raises(ConditioningError):
+        fresh.lag_solve(at_d)

@@ -1,6 +1,7 @@
 """The model at a parameter point as one object, and the layer exports."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -38,14 +39,44 @@ def test_rhs_compiles_on_first_use():
     assert ps.rhs_fn is ps.rhs_fn
 
 
-def test_cli_import_leaves_scipy_integrate_out():
-    # importing scipy.integrate on top of chebdde.cli raises the peak RSS
-    # from 57.8 to 79.6 MB (+21.8 MB) and costs about 0.2 s, on every
-    # command; an integrator from it has to be weighed against that
+# Runs each command in one fresh interpreter, in order, and prints after each
+# whether scipy.linalg is loaded; loading is permanent, so the commands that
+# need no degree-n solve go first and `hopf --n 10`, which does, goes last.
+_COMMANDS = [
+    ["simulate", "--model", "blowflies", "--n", "6", "--t-end", "2",
+     "--history", "const:2.3"],
+    ["eig", "--model", "blowflies", "--n", "10"],
+    ["mesh", "--n", "4"],
+    ["hopf", "--model", "blowflies", "--param", "beta", "--set", "mu=3",
+     "--analytic", "--omega", "2", "--alpha", "30"],
+    ["curve", "--model", "blowflies", "--params", "mu,beta", "--seed-param",
+     "beta", "--set", "mu=3", "--analytic", "--omega", "2.4", "--alpha", "29",
+     "--step", "0.5", "--max-points", "5"],
+    ["hopf", "--model", "blowflies", "--param", "beta", "--set", "mu=3",
+     "--n", "10", "--omega", "2", "--alpha", "30"],
+]
+_PROBE = """
+import contextlib, io, json, sys
+import chebdde.cli
+loaded = [sorted(m for m in sys.modules if m.startswith("scipy"))]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = chebdde.cli.main(argv)
+    loaded.append([code, "scipy.linalg" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loads_only_for_degree_n_solves():
+    # importing scipy.linalg costs about 0.27 s and 26 MB, and scipy.integrate
+    # another 0.3 s and 23 MB (an integrator from it has to be weighed
+    # against that); chebdde.cli loads neither, and only degree-n lag
+    # solves and the Schur-factored charts load scipy.linalg
     src = os.path.dirname(os.path.dirname(chebdde.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, chebdde.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(_COMMANDS)],
+                         env=env, capture_output=True, text=True, check=True)
+    at_import, *runs = json.loads(out.stdout)
+    assert at_import == []
+    assert runs == [[0, False]] * (len(_COMMANDS) - 1) + [[0, True]]
