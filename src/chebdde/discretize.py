@@ -11,10 +11,11 @@ v_k differ: e^{-lambda tau_k} for the delay equation, and for the degree-n
 ODE the value at -tau_k of the polynomial interpolating
 (1, (D - lambda I)^{-1} D 1). The eigenvalues of the assembled matrix A_n are
 exactly the roots of Delta_n. PsSystem is the model at one parameter point
-for either problem (make_system(model) is the delay equation itself); the
-charfn_* functions evaluate Delta with its lambda- and parameter-derivatives
-for both, and at a degree the eigenvectors on both sides and a resolvent
-that never forms (lambda I - A_n) are available too.
+for either problem (make_system(model) is the delay equation itself); it
+solves for its equilibrium on first read, which time stepping never does.
+One jet per shift assembles Delta with its lambda- and parameter-derivatives
+for the charfn_* functions and the Hopf paths. At a degree the eigenvectors
+on both sides and a resolvent that never forms (lambda I - A_n) follow too.
 
 Lag solves call LAPACK directly, bound on the first degree-n solve: importing
 scipy.linalg is most of the CLI's start-up time and memory, and time stepping,
@@ -42,7 +43,7 @@ from .errors import (
     SingularityError,
     UnknownSymbolError,
 )
-from .model import DdeModel, LinearPart, equilibrium_solve, linearize
+from .model import DdeModel, LinearPart, _at_point
 
 __all__ = [
     "PsSystem",
@@ -85,6 +86,14 @@ def _operators(n: int, delays: tuple) -> tuple:
     return mesh, diff, op
 
 
+@lru_cache(maxsize=64)
+def _identity(n: int, dtype=float) -> np.ndarray:
+    """The n x n identity, built once per size and dtype, so read-only."""
+    eye = np.eye(n, dtype=dtype)
+    eye.flags.writeable = False
+    return eye
+
+
 @cache
 def _lapack() -> tuple:
     """LAPACK's zgetrf, zgetrs and zgecon, bound on the first degree-n solve."""
@@ -120,17 +129,26 @@ class PsSystem:
 
     model: DdeModel
     n: Optional[int]
-    equilibrium: np.ndarray
-    linear: LinearPart
     mesh: Optional[Mesh]
     diff: Optional[DiffOp]
     op: Optional[np.ndarray] = field(repr=False)
+    # model._at_point's keywords: the known equilibrium, or the guess
+    _seed: dict = field(default_factory=dict, repr=False)
     # lambda -> (LU factors of D - lambda I, lag solve at lambda)
     _lu: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
         return self.model.dim
+
+    @cached_property
+    def _point(self) -> tuple:
+        """(equilibrium, linearization, Newton steps), solved on first read:
+        time stepping needs neither."""
+        return _at_point(self.model, **self._seed)
+
+    equilibrium = property(lambda self: self._point[0])
+    linear = property(lambda self: self._point[1])
 
     @cached_property
     def rhs_fn(self) -> Callable:
@@ -142,8 +160,7 @@ class PsSystem:
         """Rebuild at a changed parameter: the equilibrium is re-solved from
         the current one, so the linearization tracks its drift."""
         model = self.model.with_params(**{name: value})
-        xbar = equilibrium_solve(model, guess=self.equilibrium)
-        return make_system(model, self.n, xbar)
+        return _system(model, self.n, guess=self.equilibrium)
 
     def lag_solve(self, lam: complex) -> np.ndarray:
         """Cached x(lambda) = (D - lambda I)^{-1} D 1 with a conditioning guard."""
@@ -152,9 +169,9 @@ class PsSystem:
         if hit is not None:
             return hit[1]
         _require_degree(self, "lag_solve")
-        mat = self.diff.D - lam * np.eye(self.n)
+        mat = self.diff.D - lam * _identity(self.n)
         lu, piv = lu_factor(mat)
-        rcond, info = _lapack()[2](lu, np.linalg.norm(mat, 1))
+        rcond, info = _lapack()[2](lu, np.abs(mat).sum(axis=0).max())  # 1-norm
         if info != 0 or rcond < 1.0 / COND_LIMIT:
             raise ConditioningError(
                 f"(D - lambda I) is numerically singular at lambda={lam} "
@@ -187,18 +204,20 @@ class PsSystem:
 def make_system(model: DdeModel, n: Optional[int] = None, equilibrium=None) -> PsSystem:
     """The model at its current parameters, collocated at degree n, or the
     delay equation itself when n is None; the equilibrium is solved for
-    when not given."""
+    on first read when not given."""
     if n is not None and n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
-    xbar = (
-        np.asarray(equilibrium, dtype=float)
-        if equilibrium is not None
-        else equilibrium_solve(model)
-    )
+    if equilibrium is None:
+        return _system(model, n)
+    return _system(model, n, equilibrium=np.asarray(equilibrium, dtype=float))
+
+
+def _system(model: DdeModel, n: Optional[int], **seed) -> PsSystem:
+    """Every PsSystem is built here; seed as for model._at_point."""
     mesh = diff = op = None
     if n is not None:
         mesh, diff, op = _operators(n, model.delays)
-    return PsSystem(model, n, xbar, linearize(model, xbar), mesh, diff, op)
+    return PsSystem(model, n, mesh, diff, op, seed)
 
 
 def replicate(xbar, n: int) -> np.ndarray:
@@ -238,19 +257,45 @@ def rhs(ps: PsSystem, state) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _combine(ps: PsSystem, out: np.ndarray, mats, vals):
-    """out - sum_k mats_k vals_k; a scalar for one-dimensional models."""
+def _combine(out: np.ndarray, mats, vals) -> np.ndarray:
+    """out - sum_k mats_k vals_k."""
     for mat, val in zip(mats, vals):
         out -= mat * val
-    return out[0, 0] if ps.dim == 1 else out
+    return out
+
+
+def _jet(ps: PsSystem, lam: complex, params=(), slope: bool = True) -> tuple:
+    """Delta(lambda), its lambda-derivative (None unless slope) and its
+    derivatives in the named parameters (analytic, or at a fold a central
+    difference), as d x d arrays: the one place Delta is assembled, from one
+    lag_values(lambda) and one lag_values(lambda, 1)."""
+    lam = complex(lam)
+    mats, vals = ps.linear.mats, ps.lag_values(lam)
+    delta = _combine(lam * _identity(ps.dim, complex), mats, vals)
+    dl = (_combine(_identity(ps.dim, complex).copy(), mats, ps.lag_values(lam, 1))
+          if slope else None)
+    derivs = ps.linear.param_derivs or {}
+    dalpha = []
+    for name in params:
+        if name in derivs:
+            start = np.zeros((ps.dim, ps.dim), dtype=complex)
+            dalpha.append(_combine(start, derivs[name], vals))
+            continue
+        if name not in ps.model.params:
+            raise UnknownSymbolError(f"unknown parameter {name!r}")
+        alpha = float(ps.model.params[name])
+        h = 1e-6 * max(1.0, abs(alpha))
+        hi = _jet(ps.with_param(name, alpha + h), lam, slope=False)[0]
+        lo = _jet(ps.with_param(name, alpha - h), lam, slope=False)[0]
+        dalpha.append((hi - lo) / (2.0 * h))
+    return delta, dl, dalpha
 
 
 def charfn_eval(ps: PsSystem, lam: complex):
     """Delta(lambda) = lambda I - sum_k C_k v_k(lambda); a scalar for
     one-dimensional models."""
-    lam = complex(lam)
-    start = lam * np.eye(ps.dim).astype(complex)
-    return _combine(ps, start, ps.linear.mats, ps.lag_values(lam))
+    val = _jet(ps, lam, slope=False)[0]
+    return val[0, 0] if ps.dim == 1 else val
 
 
 def charfn_det(ps: PsSystem, lam: complex) -> complex:
@@ -261,29 +306,26 @@ def charfn_det(ps: PsSystem, lam: complex) -> complex:
 
 def charfn_dlambda(ps: PsSystem, lam: complex):
     """Analytic lambda-derivative I - sum_k C_k v_k'(lambda)."""
-    start = np.eye(ps.dim).astype(complex)
-    return _combine(ps, start, ps.linear.mats, ps.lag_values(lam, 1))
+    val = _jet(ps, lam)[1]
+    return val[0, 0] if ps.dim == 1 else val
 
 
 def charfn_dalpha(ps: PsSystem, lam: complex, param: str):
-    """Parameter derivative of Delta.
+    """Parameter derivative of Delta: analytic along the equilibrium branch,
+    a central difference of the rebuilt Delta at a fold."""
+    val = _jet(ps, lam, (param,), slope=False)[2][0]
+    return val[0, 0] if ps.dim == 1 else val
 
-    Uses registered analytic dC_k/dalpha matrices when available; otherwise
-    (at a fold) a central difference of the rebuilt characteristic function,
-    which captures the induced motion of the equilibrium.
-    """
-    lam = complex(lam)
-    derivs = ps.linear.param_derivs
-    if derivs is not None and param in derivs:
-        start = np.zeros((ps.dim, ps.dim), dtype=complex)
-        return _combine(ps, start, derivs[param], ps.lag_values(lam))
-    if param not in ps.model.params:
-        raise UnknownSymbolError(f"unknown parameter {param!r}")
-    alpha = float(ps.model.params[param])
-    h = 1e-6 * max(1.0, abs(alpha))
-    hi = charfn_eval(ps.with_param(param, alpha + h), lam)
-    lo = charfn_eval(ps.with_param(param, alpha - h), lam)
-    return (hi - lo) / (2.0 * h)
+
+def _root_data(delta, dl, dalpha=()) -> tuple:
+    """f = Delta for scalars, det Delta for systems, and its derivatives
+    tr(adj(Delta) m) along dl and each m of dalpha; unlike det(Delta)
+    inv(Delta), adj(Delta) stays finite as Delta degenerates."""
+    if delta.shape[0] == 1:
+        return delta[0, 0], [m[0, 0] for m in (dl, *dalpha)]
+    adj = _adjugate(delta)
+    traces = [complex(np.trace(adj @ m)) for m in (dl, *dalpha)]
+    return complex(np.linalg.det(delta)), traces
 
 
 def kernel_vector(mat: np.ndarray) -> np.ndarray:
@@ -296,16 +338,11 @@ def kernel_vector(mat: np.ndarray) -> np.ndarray:
     return vec * (abs(pivot) / pivot)
 
 
-def _as_matrix(val) -> np.ndarray:
-    """A characteristic-function value as a d x d array, also for d = 1."""
-    return np.atleast_2d(np.asarray(val, dtype=complex))
-
-
 def eigvec_right(ps: PsSystem, lam: complex, p_star=None) -> np.ndarray:
     """Eigenvector (p_star, p_star x_1, ..., p_star x_n) of A_n at lambda."""
     _require_degree(ps, "eigvec_right")
     lam = complex(lam)
-    delta = _as_matrix(charfn_eval(ps, lam))
+    delta = _jet(ps, lam, slope=False)[0]
     if p_star is None:
         p_star = np.ones(1) if ps.dim == 1 else kernel_vector(delta)
     p_star = np.asarray(p_star, dtype=complex)
@@ -334,30 +371,20 @@ def _adjugate(mat: np.ndarray) -> np.ndarray:
     return adj
 
 
-def _simplicity_margin(ps: PsSystem, lam: complex) -> float:
-    """|d/dlambda det Delta_n| at the root: trace of adj(Delta) D_1 Delta,
-    which for a scalar is just |D_1 Delta|. Stays finite as Delta degenerates,
-    unlike det(Delta) inv(Delta)."""
-    dl = charfn_dlambda(ps, lam)
-    if ps.dim == 1:
-        return abs(dl)
-    delta = _as_matrix(charfn_eval(ps, lam))
-    return abs(np.trace(_adjugate(delta) @ np.atleast_2d(dl)))
-
-
 def eigvec_left(ps: PsSystem, lam: complex, p: Optional[np.ndarray] = None) -> np.ndarray:
     """Adjoint eigenvector of A_n at a simple root, scaled so q . p = 1 in the
     bilinear (unconjugated) pairing."""
     _require_degree(ps, "eigvec_left")
     lam = complex(lam)
-    if _simplicity_margin(ps, lam) < 1e-10 * (1.0 + abs(lam)):
+    delta, dl, _ = _jet(ps, lam)
+    # |d/dlambda det Delta_n| at the root
+    if abs(_root_data(delta, dl)[1][0]) < 1e-10 * (1.0 + abs(lam)):
         raise SimplicityError(
             f"characteristic root {lam} is not numerically simple"
         )
     d, n = ps.dim, ps.n
     if p is None:
         p = eigvec_right(ps, lam)
-    delta = _as_matrix(charfn_eval(ps, lam))
     q_star = np.ones(1) if d == 1 else kernel_vector(delta.T)
     # rows of R couple q_star back through the delay blocks at each tail node
     r = np.zeros((n, d), dtype=complex)
@@ -379,7 +406,7 @@ def resolvent_apply(ps: PsSystem, lam: complex, zeta) -> np.ndarray:
     lam = complex(lam)
     d, n = ps.dim, ps.n
     zeta = np.asarray_chkfinite(zeta, dtype=complex).reshape(n + 1, d)
-    delta = _as_matrix(charfn_eval(ps, lam))
+    delta = _jet(ps, lam, slope=False)[0]
     smin = np.linalg.svd(delta, compute_uv=False)[-1]
     if smin < 1e-10 * (1.0 + abs(lam)):
         raise SingularityError(

@@ -7,22 +7,21 @@ collocation ODE (make_system(model, n), interpolated lag solves) alike:
 Newton on the imaginary-axis root condition, transversality/simplicity/
 non-resonance diagnostics, the first Lyapunov coefficient by the three-term
 formula, the branch direction coefficient, pseudo-arclength continuation of
-the critical curve in two parameters, and degree-refinement studies.
+the critical curve in two parameters, and degree-refinement studies. A
+Newton iterate builds the model once and reads Delta from one jet.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .discretize import (
-    _adjugate,
-    _as_matrix,
+    _jet,
+    _root_data,
+    _system,
     assemble_An,
-    charfn_dalpha,
-    charfn_dlambda,
-    charfn_eval,
     eigenvalues,
     kernel_vector,
     make_system,
@@ -37,7 +36,7 @@ from .errors import (
     SingularityError,
     UnknownSymbolError,
 )
-from .model import bilinear_form, equilibrium_solve, trilinear_form
+from .model import bilinear_form, trilinear_form
 
 __all__ = [
     "ResonanceVerdict",
@@ -124,13 +123,16 @@ class StabilityCurve:
 
     points has one row (param1, param2, omega) per accepted point, ordered
     along the curve; steps[i] is the arclength gap to the previous row
-    (0 for the first); diagnostics aligns one CurveDiag per row.
+    (0 for the first); diagnostics aligns one CurveDiag per row. stats
+    counts corrector_iterates (one rebuild each), step halvings, rebuilds
+    (the start included) and the equilibrium newton_steps they took.
     """
 
     names: tuple
     points: np.ndarray
     steps: np.ndarray
     diagnostics: tuple
+    stats: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -160,26 +162,9 @@ def _at_alpha(cf, param: str, alpha: float):
     return cf
 
 
-def _root_data(cf, lam: complex, param: str):
-    """(f, df/dlambda, df/dalpha) for the Newton function f: the
-    characteristic value itself for scalars, its determinant for systems."""
-    delta = _as_matrix(charfn_eval(cf, lam))
-    dl = _as_matrix(charfn_dlambda(cf, lam))
-    da = _as_matrix(charfn_dalpha(cf, lam, param))
-    if cf.dim == 1:
-        return delta[0, 0], dl[0, 0], da[0, 0]
-    adj = _adjugate(delta)
-    return (
-        complex(np.linalg.det(delta)),
-        complex(np.trace(adj @ dl)),
-        complex(np.trace(adj @ da)),
-    )
-
-
 def _critical_pair(cf, lam: complex):
     """Kernel vectors (p, q) with p[0] = 1 and q . D1 Delta p = 1."""
-    delta = _as_matrix(charfn_eval(cf, lam))
-    dl = _as_matrix(charfn_dlambda(cf, lam))
+    delta, dl, _ = _jet(cf, lam)
     if cf.dim == 1:
         p = np.ones(1, dtype=complex)
         qt = np.ones(1, dtype=complex)
@@ -200,14 +185,13 @@ def _critical_pair(cf, lam: complex):
     return p, qt / s
 
 
-def _transversality(cf, omega: float, param: str) -> float:
-    lam = 1j * omega
-    p, q = _critical_pair(cf, lam)
-    da = _as_matrix(charfn_dalpha(cf, lam, param))
+def _transversality(cf, omega: float, param: str, pair) -> float:
+    p, q = pair
+    da = _jet(cf, 1j * omega, (param,), slope=False)[2][0]
     return float((q @ (da @ p)).real)
 
 
-def _lyapunov(cf, omega: float) -> complex:
+def _lyapunov(cf, omega: float, pair) -> complex:
     """Three-term Lyapunov coefficient at the critical pair.
 
     The quadratic corrections solve Delta(0) w0 = D2g(phi, conj phi) and
@@ -216,7 +200,7 @@ def _lyapunov(cf, omega: float) -> complex:
     """
     model, xbar = cf.model, cf.equilibrium
     lam = 1j * omega
-    p, q = _critical_pair(cf, lam)
+    p, q = pair
     v1 = cf.lag_values(lam)
     lags = range(len(model.delays))
     phi = {(i, k): v1[k] * p[i] for i in range(cf.dim) for k in lags}
@@ -237,7 +221,7 @@ def _lyapunov(cf, omega: float) -> complex:
 
 
 def _resonant_solve(cf, lam: complex, rhs_vec: np.ndarray, what: str) -> np.ndarray:
-    delta = _as_matrix(charfn_eval(cf, lam))
+    delta = _jet(cf, lam, slope=False)[0]
     if _smin(delta) < 1e-10 * (1.0 + abs(lam)):
         raise ResonanceError(f"Delta({lam}) is singular: {what}")
     return np.linalg.solve(delta, np.asarray(rhs_vec, dtype=complex))
@@ -248,7 +232,7 @@ def _nonresonance_verdict(cf, omega: float, k_max: int) -> ResonanceVerdict:
     failures = []
     for k in (0, *range(2, k_max + 1)):
         try:
-            margin = _smin(_as_matrix(charfn_eval(cf, 1j * (k * omega))))
+            margin = _smin(_jet(cf, 1j * (k * omega), slope=False)[0])
         except ConditioningError:
             # k*i*omega fell onto a spurious pole of the lag solve; the
             # margin there is not trustworthy, so report the k as failed
@@ -288,15 +272,18 @@ def hopf_point(cf, param: str, omega: float, alpha: float, k_max: int = 10,
     omega = float(omega)
     alpha = float(alpha)
     cur = _at_alpha(cf, param, alpha)
-    root_res = _smin(_as_matrix(charfn_eval(cur, 1j * omega)))
+    lam = 1j * omega
+    delta, dl, _ = _jet(cur, lam)
+    root_res = _smin(delta)
     if not root_res < RES_TOL * (1.0 + abs(omega)):
         raise ValueError(
             f"(omega, {param}) = ({omega:.6g}, {alpha:.6g}) does not solve the "
             f"characteristic equation (residual {root_res:.2e})"
         )
-    simplicity = _smin(_as_matrix(charfn_dlambda(cur, 1j * omega)))
-    sigma = _transversality(cur, omega, param)
-    c = _lyapunov(cur, omega)
+    simplicity = _smin(dl)
+    pair = _critical_pair(cur, lam)
+    sigma = _transversality(cur, omega, param, pair)
+    c = _lyapunov(cur, omega, pair)
     a2 = c.real / sigma if sigma != 0.0 else math.nan
     verdict = _nonresonance_verdict(cur, omega, k_max)
     return HopfPoint(
@@ -328,8 +315,9 @@ def find_hopf(cf, param: str, omega_guess: float, alpha_guess: float,
     cur = _at_alpha(cf, param, alpha)
     residuals = []
     for _ in range(MAX_NEWTON):
-        f, flam, falpha = _root_data(cur, 1j * omega, param)
-        res = _smin(_as_matrix(charfn_eval(cur, 1j * omega)))
+        delta, dl, dalpha = _jet(cur, 1j * omega, (param,))
+        f, (flam, falpha) = _root_data(delta, dl, dalpha)
+        res = _smin(delta)
         residuals.append(res)
         if res < RES_TOL * (1.0 + abs(omega)):
             break
@@ -364,8 +352,9 @@ def find_hopf(cf, param: str, omega_guess: float, alpha_guess: float,
 def transversality(cf, hopf: HopfPoint) -> float:
     """Re(D1 Delta^{-1} D2 Delta) at the critical pair; for systems the
     normalized pairing Re(q . D2 Delta p) with q . D1 Delta p = 1."""
-    return _transversality(_at_alpha(cf, hopf.param, hopf.alpha), hopf.omega,
-                           hopf.param)
+    cur = _at_alpha(cf, hopf.param, hopf.alpha)
+    pair = _critical_pair(cur, 1j * hopf.omega)
+    return _transversality(cur, hopf.omega, hopf.param, pair)
 
 
 def nonresonance(cf, hopf: HopfPoint, k_max: int = 10) -> ResonanceVerdict:
@@ -381,7 +370,7 @@ def lyapunov_c(system, hopf: HopfPoint) -> complex:
     """First Lyapunov coefficient from the three-term formula, for the delay
     equation or a collocation system."""
     cur = _at_alpha(system, hopf.param, hopf.alpha)
-    return _lyapunov(cur, hopf.omega)
+    return _lyapunov(cur, hopf.omega, _critical_pair(cur, 1j * hopf.omega))
 
 
 def direction_a2(hopf: HopfPoint) -> float:
@@ -403,41 +392,34 @@ def _null3(jac: np.ndarray) -> np.ndarray:
 
 
 class _CurveSpace:
-    """Shared evaluation context for one continuation run."""
+    """Shared evaluation context and run counters for one continuation run."""
 
     def __init__(self, model, names, n):
         self.model = model
         self.names = names
         self.n = n
+        counters = ("corrector_iterates", "halvings", "rebuilds", "newton_steps")
+        self.stats = dict.fromkeys(counters, 0)
 
     def build(self, u, guess):
         m = self.model.with_params(
             **{self.names[0]: float(u[0]), self.names[1]: float(u[1])}
         )
-        cf = make_system(m, self.n, equilibrium_solve(m, guess=guess))
-        return cf, cf.equilibrium
+        self.stats["rebuilds"] += 1
+        cf = _system(m, self.n, guess=guess)
+        xbar, _, steps = cf._point
+        self.stats["newton_steps"] += steps
+        return cf, xbar
 
     def fj(self, cf, u):
         """Newton function value, its real 2x3 Jacobian in (p1, p2, omega),
-        the root residual, and the simplicity measure at u."""
-        lam = 1j * u[2]
-        delta = _as_matrix(charfn_eval(cf, lam))
-        dl = _as_matrix(charfn_dlambda(cf, lam))
-        d1 = _as_matrix(charfn_dalpha(cf, lam, self.names[0]))
-        d2 = _as_matrix(charfn_dalpha(cf, lam, self.names[1]))
-        if cf.dim == 1:
-            f, fl = delta[0, 0], dl[0, 0]
-            f1, f2 = d1[0, 0], d2[0, 0]
-        else:
-            adj = _adjugate(delta)
-            f = complex(np.linalg.det(delta))
-            fl = complex(np.trace(adj @ dl))
-            f1 = complex(np.trace(adj @ d1))
-            f2 = complex(np.trace(adj @ d2))
+        the root residual, and D1 Delta at u."""
+        delta, dl, dalpha = _jet(cf, 1j * u[2], self.names)
+        f, (fl, f1, f2) = _root_data(delta, dl, dalpha)
         jac = np.array(
             [[f1.real, f2.real, -fl.imag], [f1.imag, f2.imag, fl.real]]
         )
-        return f, jac, _smin(delta), _smin(dl)
+        return f, jac, _smin(delta), dl
 
     def correct(self, u_pred, tang, guess):
         """Newton with the arclength constraint tang . (u - u_pred) = 0;
@@ -446,13 +428,14 @@ class _CurveSpace:
         for it in range(1, 11):
             if u[2] <= 0.0 or not np.all(np.isfinite(u)):
                 return None
+            self.stats["corrector_iterates"] += 1
             try:
                 cf, xbar = self.build(u, guess)
-                f, jac, res, simp = self.fj(cf, u)
+                f, jac, res, dl = self.fj(cf, u)
             except ChebddeError:
                 return None
             if res < CURVE_TOL * (1.0 + abs(u[2])):
-                return u, xbar, res, it - 1, simp
+                return u, xbar, res, it - 1, _smin(dl)
             aug = np.vstack([jac, tang])
             rhs = -np.array([f.real, f.imag, tang @ (u - u_pred)])
             try:
@@ -492,7 +475,7 @@ def trace_hopf_curve(model, params, start: HopfPoint, step: float,
          float(start.omega)]
     )
     cf0, xbar0 = space.build(u0, None)
-    f0, jac0, res0, simp0 = space.fj(cf0, u0)
+    f0, jac0, res0, dl0 = space.fj(cf0, u0)
     if not res0 < CURVE_TOL * (1.0 + abs(u0[2])):
         raise ConvergenceError(
             f"initial point does not satisfy the defining equations "
@@ -514,6 +497,7 @@ def trace_hopf_curve(model, params, start: HopfPoint, step: float,
                 got = space.correct(u_pred, tang, guess)
                 if got is None:
                     h *= 0.5
+                    space.stats["halvings"] += 1
                     if h < STEP_FLOOR:
                         raise ContinuationError(
                             "continuation step underflow near a singular "
@@ -541,7 +525,7 @@ def trace_hopf_curve(model, params, start: HopfPoint, step: float,
     points = backward[0][::-1] + [u0] + forward[0]
     diags = (
         backward[2][::-1]
-        + [CurveDiag(residual=res0, iterations=0, simplicity=simp0)]
+        + [CurveDiag(residual=res0, iterations=0, simplicity=_smin(dl0))]
         + forward[2]
     )
     steps = [0.0] + [
@@ -552,6 +536,7 @@ def trace_hopf_curve(model, params, start: HopfPoint, step: float,
         points=np.array(points),
         steps=np.array(steps),
         diagnostics=tuple(diags),
+        stats=space.stats,
     )
 
 

@@ -5,8 +5,8 @@ point delays scaled so the largest is 1, right-hand sides given as expression
 trees, and a real parameter map. Equilibria and linearizations come from
 symbolic first and second derivatives of the expression trees, compiled once
 per model, so the coefficients are exact derivatives, not difference
-quotients. The second- and third-order forms of the Hopf normal form are
-still taken with truncated Taylor jets.
+quotients, and the equilibrium Newton's last Jacobian is the linearization.
+The Hopf normal form's second- and third-order forms still use Taylor jets.
 """
 
 from __future__ import annotations
@@ -295,19 +295,17 @@ def collapsed_rhs(model: DdeModel, x) -> np.ndarray:
     return model.derivs.first(x, model.params)[0]
 
 
-def equilibrium_solve(model: DdeModel, guess=None) -> np.ndarray:
-    """Newton iteration for a constant solution of the collapsed system."""
+def _newton(model: DdeModel, guess) -> tuple:
+    """The equilibrium Newton loop: (xbar, df/dv at xbar, steps taken)."""
     if guess is None:
-        guess = model.equilibrium_hint
-    if guess is None:
-        guess = np.zeros(model.dim)
+        guess = model.equilibrium_hint or np.zeros(model.dim)
     x = np.asarray(guess, dtype=float).copy()
     if x.shape != (model.dim,):
         raise ValueError(f"guess must have length {model.dim}")
-    for _ in range(50):
+    for steps in range(50):
         f, grad = model.derivs.first(x, model.params)
-        if np.max(np.abs(f)) < 1e-12 * (1.0 + np.max(np.abs(x))):
-            return x
+        if np.abs(f).max() < 1e-12 * (1.0 + np.abs(x).max()):
+            return x, grad, steps
         try:
             # the collapsed Jacobian: every lag of a component moves alike
             step = np.linalg.solve(grad.sum(axis=1), f)
@@ -319,6 +317,32 @@ def equilibrium_solve(model: DdeModel, guess=None) -> np.ndarray:
     raise ConvergenceError("equilibrium Newton did not converge in 50 iterations")
 
 
+def equilibrium_solve(model: DdeModel, guess=None) -> np.ndarray:
+    """Newton iteration for a constant solution of the collapsed system."""
+    return _newton(model, guess)[0]
+
+
+def _at_point(model: DdeModel, guess=None, equilibrium=None) -> tuple:
+    """(xbar, linearization, Newton steps), xbar given or solved for from
+    guess; the first derivatives at xbar are evaluated once, by the Newton's
+    final check. EvalDomainError when one is not finite."""
+    if equilibrium is None:
+        xbar, grad, steps = _newton(model, guess)
+    else:
+        xbar, steps = np.asarray(equilibrium, dtype=float), 0
+        grad = model.derivs.first(xbar, model.params)[1]
+    bad = ~np.isfinite(grad)
+    if bad.any():
+        row = model.derivs.texts[np.nonzero(bad)[0][0]]
+        raise EvalDomainError("non-finite derivative at the equilibrium", row)
+    mats = tuple(grad.transpose(1, 0, 2).copy())
+    try:
+        derivs = _param_jacobians(model, xbar, grad)
+    except np.linalg.LinAlgError:
+        derivs = None
+    return xbar, LinearPart(model.delays, mats, derivs), steps
+
+
 def linearize(model: DdeModel, xbar) -> LinearPart:
     """Delay-block Jacobians C_k of the rhs at the constant state xbar.
 
@@ -326,31 +350,24 @@ def linearize(model: DdeModel, xbar) -> LinearPart:
     equilibrium branch through xbar; at a fold point (singular collapsed
     Jacobian) they are omitted and consumers fall back to differencing.
     """
-    xbar = np.asarray(xbar, dtype=float)
-    _, grad = model.derivs.first(xbar, model.params)
-    mats = tuple(np.moveaxis(grad, 1, 0).copy())
-    try:
-        derivs = param_jacobians(model, xbar)
-    except np.linalg.LinAlgError:
-        derivs = None
-    return LinearPart(delays=model.delays, mats=mats, param_derivs=derivs)
+    return _at_point(model, equilibrium=xbar)[1]
 
 
 def param_jacobians(model: DdeModel, xbar) -> dict:
-    """Total derivatives d C_k / d alpha of the delay-block Jacobians, one
-    tuple of d x d matrices per parameter name.
+    """Total derivatives d C_k / d alpha of the delay-block Jacobians along
+    the equilibrium branch through xbar, one tuple of d x d matrices per
+    parameter name. Raises numpy.linalg.LinAlgError at a fold, where the
+    branch has no smooth parametrization."""
+    return _param_jacobians(model, xbar, model.derivs.first(xbar, model.params)[1])
 
-    Differentiates along the equilibrium branch through xbar: the mixed
-    derivative d2f/dv dalpha plus the chain term through the induced
-    equilibrium drift d xbar / d alpha = -A^{-1} df/dalpha, with A the
-    collapsed Jacobian. Raises numpy.linalg.LinAlgError when A is singular
-    (a fold, where the branch has no smooth parametrization).
-    """
+
+def _param_jacobians(model: DdeModel, xbar, grad) -> dict:
+    # the mixed derivative d2f/dv dalpha plus the chain term through the
+    # equilibrium drift d xbar / d alpha = -A^{-1} df/dalpha, with A = the
+    # collapsed Jacobian grad.sum(axis=1), singular at a fold
     if not model.params:
         return {}
-    xbar = np.asarray(xbar, dtype=float)
     d, n_lags = model.dim, len(model.delays)
-    _, grad = model.derivs.first(xbar, model.params)
     f_alpha, hess, mixed = model.derivs.second(xbar, model.params)
     drift = -np.linalg.solve(grad.sum(axis=1), f_alpha)
     # the drift moves every lag of a component alike

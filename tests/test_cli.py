@@ -374,6 +374,33 @@ def test_fluidflow_without_equilibrium_exits_1(capsys, override):
     assert json.loads(err)["error"] == "no_convergence"
 
 
+def model_file(tmp_path, rhs, hint):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"dim": 1, "delays": [0, 1], "rhs": [rhs],
+                                "params": {}, "equilibrium_hint": [hint]}))
+    return str(path)
+
+
+def test_overflowing_linearization_exits_1(capsys, tmp_path):
+    # the delayed coefficient 1e200 * 1e200 overflows at the equilibrium 0
+    path = model_file(tmp_path, "-x0@0 + 1e200*(1e200*x0@1)", 0)
+    code, out, err = run(capsys, ["eig", "--model", path, "--n", "4"])
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "domain_error"
+    assert "non-finite derivative" in payload["message"]
+
+
+def test_simulate_needs_no_equilibrium(capsys, tmp_path):
+    # x' = -1 has no equilibrium; from 0.5 the state reaches log's domain
+    path = model_file(tmp_path, "-1 + 0*log(x0@0)", 1.0)
+    code, out, err = run(capsys, ["simulate", "--model", path, "--n", "4",
+                                  "--t-end", "2", "--history", "const:0.5"])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "domain_error",
+                               "message": "math domain error in 'model rhs at node 0'"}
+
+
 def test_chart_overflow_is_a_numerical_failure(capsys):
     # beta overflows at the end point of the exact boundary near omega = pi
     code, out, err = run(capsys, ["chart-blowfly", "--n", "8", "--omega-min", "2.5",

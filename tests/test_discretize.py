@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import zgecon
 
 from chebdde.cheb_mesh import interpolate
 from chebdde.discretize import (
+    _jet,
     assemble_An,
     charfn_dalpha,
     charfn_det,
@@ -257,6 +258,66 @@ def test_with_param_rebuilds_equilibrium():
         assert abs(moved.linear.mats[1][0, 0] - want_b2) < 1e-12
 
 
+def three_delay_ring(a=3.0, b=1.0):
+    """A three-component ring read at three delays (d > 2 adjugates)."""
+    return make_model(
+        3, (0.0, 0.5, 1.0),
+        ("-x0@0 - a*sin(x2@2)", "-b*x1@0 + sin(x0@1)", "-x2@0 + x1@1 - 0.1*x2@1^2"),
+        {"a": a, "b": b}, equilibrium_hint=[0.0, 0.0, 0.0],
+    )
+
+
+@pytest.mark.parametrize("n", [10, None], ids=["n10", "exact"])
+@pytest.mark.parametrize("model",
+                         [blowflies(MU, BETA), fluidflow(), three_delay_ring()],
+                         ids=["blowflies", "fluidflow", "ring3"])
+def test_jet_matches_public_charfn_bit_for_bit(model, n):
+    ps = make_system(model, n)
+    names = tuple(model.params)
+    d = model.dim
+    for lam in (0.3 + 2.1j, -0.4 + 0.9j, 1.7j):
+        delta, dl, dalpha = _jet(ps, lam, names)
+        # the assembly order the jet keeps: lambda I, then one C_k v_k per lag
+        ref = lam * np.eye(d).astype(complex)
+        ref_dl = np.eye(d).astype(complex)
+        for c, v, dv in zip(ps.linear.mats, ps.lag_values(lam), ps.lag_values(lam, 1)):
+            ref -= c * v
+            ref_dl -= c * dv
+        assert (delta == ref).all() and (dl == ref_dl).all()
+        assert (delta == np.atleast_2d(charfn_eval(ps, lam))).all()
+        assert (dl == np.atleast_2d(charfn_dlambda(ps, lam))).all()
+        assert np.ndim(charfn_eval(ps, lam)) == (0 if d == 1 else 2)
+        for name, got in zip(names, dalpha):
+            ref_da = np.zeros((d, d), dtype=complex)
+            for dc, v in zip(ps.linear.param_derivs[name], ps.lag_values(lam)):
+                ref_da -= dc * v
+            assert (got == ref_da).all()
+            assert (got == np.atleast_2d(charfn_dalpha(ps, lam, name))).all()
+        assert charfn_det(ps, lam) == (
+            complex(delta[0, 0]) if d == 1 else complex(np.linalg.det(delta)))
+
+
+def test_first_derivatives_evaluated_once_at_the_equilibrium(monkeypatch):
+    model = fluidflow()
+    seen = []
+    first = model.derivs.first
+
+    def counting(x, params):
+        seen.append(np.array(x, dtype=float))
+        return first(x, params)
+
+    monkeypatch.setattr(model.derivs, "first", counting)
+    ps = make_system(model, 10)
+    assert seen == []  # nothing is solved before the first read
+    ps.linear
+    xbar = ps.equilibrium
+    assert sum(np.array_equal(x, xbar) for x in seen) == 1
+    for moved in (ps.with_param("k", 1.7), make_system(model, 10, equilibrium=xbar)):
+        seen.clear()
+        moved.linear
+        assert sum(np.array_equal(x, moved.equilibrium) for x in seen) == 1
+
+
 def test_eigvec_right_residual():
     for model, n in ((blowflies(MU, BETA), 6), (fluidflow(), 5)):
         ps = make_system(model, n)
@@ -340,6 +401,32 @@ def test_resolvent_identity():
             back = lam * h - a @ h
             assert np.max(np.abs(back - zeta)) < 1e-10 * (1.0 + np.max(np.abs(zeta)))
             checked += 1
+
+
+@settings(max_examples=40)
+@given(
+    n=st.integers(1, 30),
+    two_dim=st.booleans(),
+    re=st.floats(-3.0, 3.0),
+    im=st.floats(-6.0, 6.0),
+    seed=st.integers(0, 2**16),
+)
+def test_resolvent_identity_away_from_the_spectrum(n, two_dim, re, im, seed):
+    # (lambda I - A_n) resolvent_apply(ps, lambda, zeta) = zeta, with the
+    # backward error bounded by the rounding of the product
+    model = fluidflow() if two_dim else blowflies(MU, BETA)
+    ps = make_system(model, n)
+    a = assemble_An(ps)
+    lam = complex(re, im)
+    for spectrum in (eigenvalues(a), np.linalg.eigvals(ps.diff.D)):
+        assume(np.min(np.abs(spectrum - lam)) > 0.1)
+    rng = np.random.default_rng(seed)
+    zeta = rng.normal(size=a.shape[0]) + 1j * rng.normal(size=a.shape[0])
+    h = resolvent_apply(ps, lam, zeta)
+    shifted = lam * np.eye(a.shape[0]) - a
+    err = np.linalg.norm(shifted @ h - zeta)
+    scale = np.linalg.norm(shifted, 2) * np.linalg.norm(h) + np.linalg.norm(zeta)
+    assert err <= 1e-12 * scale
 
 
 def test_resolvent_unit_head():

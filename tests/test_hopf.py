@@ -475,6 +475,33 @@ def test_trace_blowflies_survives_overflowing_corrector():
         assert abs(beta_i - beta_o) / mu_i < 1e-4
 
 
+def test_curve_run_counters():
+    # the overflowing build of the previous test is one failed corrector
+    # iterate; every accepted point took its iterations plus one iterate
+    mu0 = 4.251273284166452
+    w0, beta0 = blowfly_oracle(mu0)
+    m = blowflies(mu0, beta0)
+    start = find_hopf(make_system(m, 10), "beta", w0, beta0)
+    curve = trace_hopf_curve(m, ("mu", "beta"), start, 0.25, max_points=200, n=10)
+    stats = curve.stats
+    assert set(stats) == {"corrector_iterates", "halvings", "rebuilds", "newton_steps"}
+    accepted = len(curve.points) - 1
+    iterations = sum(d.iterations for d in curve.diagnostics)
+    assert iterations + accepted < stats["corrector_iterates"]
+    assert stats["rebuilds"] == stats["corrector_iterates"] + 1
+    assert stats["halvings"] > 0
+    assert 0 < stats["newton_steps"] <= 50 * stats["rebuilds"]
+
+    # the linear family's equilibrium is its hint, and no step is refused
+    b1s, b2s = dde_boundary(2.0)
+    lin = linear_model(b1s, b2s)
+    start = find_hopf(make_system(lin), "b2", 2.0, b2s + 0.05)
+    curve = trace_hopf_curve(lin, ("b1", "b2"), start, 0.05, max_points=31)
+    assert curve.stats["newton_steps"] == curve.stats["halvings"] == 0
+    assert sum(d.iterations for d in curve.diagnostics) + 30 == (
+        curve.stats["corrector_iterates"])
+
+
 def fluidflow_omega(c):
     """Crossing frequency in (0, pi) of the fluid-flow Hopf locus
     k c^2/2 = omega^2, omega tan(omega/2) = 1/c; the left side increases

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebdde.cheb_mesh import (
     diff_matrix,
@@ -119,6 +121,21 @@ def test_diff_matrix_polynomial_exactness():
             exact = dp(mesh.nodes[1:])
             scale = np.max(np.abs(exact)) + 1.0
             assert np.max(np.abs(deriv - exact)) / scale < 1e-11
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 40),
+       coeffs=st.lists(st.floats(-2.0, 2.0), min_size=41, max_size=41))
+def test_diff_matrix_exact_on_random_polynomials(n, coeffs):
+    # a Chebyshev series on [-1, 0] keeps the degree-40 values well
+    # conditioned; the rounding of D grows like n^2
+    p = np.polynomial.Chebyshev(coeffs[: n + 1], domain=[-1.0, 0.0])
+    mesh = make_mesh(n)
+    op = diff_matrix(mesh)
+    vals = p(mesh.nodes)
+    deriv = op.d0 * vals[0] + op.D @ vals[1:]
+    err = np.max(np.abs(deriv - p.deriv()(mesh.nodes[1:])))
+    assert err <= 1e-12 * n * n * (1.0 + max(map(abs, coeffs)))
 
 
 def test_interpolate_partition_of_unity():

@@ -327,6 +327,21 @@ def test_domain_error_inside_a_stage():
     assert str(err.value) == "math domain error in 'model rhs at node 0'"
 
 
+def test_time_stepping_never_solves_for_an_equilibrium(monkeypatch):
+    # x' = -1 has no equilibrium, so a Newton solve could only fail; the
+    # integration reaches log's domain boundary instead
+    m = make_model(1, (0.0, 1.0), ("-1 + 0*log(x0@0)",), {}, equilibrium_hint=[1.0])
+
+    def refuse(x, params):
+        raise AssertionError("the equilibrium Newton ran")
+
+    monkeypatch.setattr(m.derivs, "first", refuse)
+    ps = make_system(m, 4)
+    with pytest.raises(EvalDomainError) as err:
+        integrate(ps, sample_history(ps, lambda th: 0.5), 2.0)
+    assert str(err.value) == "math domain error in 'model rhs at node 0'"
+
+
 def test_run_counters_invariants():
     _, _, traj = blowflies_run()
     stats = traj.stats
