@@ -11,12 +11,13 @@ interpretation, crossing speeds, and first Lyapunov coefficients along the
 boundary in closed form.
 
 The discretized curves need the last entry of (D - lambda I)^{-p} D 1 at many
-shifts lambda. The differentiation block D is factored once per degree in
-real Schur form D = Z T Z^T, and each batch of shifts is one vectorised back
-substitution against T, so a whole chart costs a handful of batched solves.
-No eigendecomposition of D is used: D is far from normal and its
-eigenvectors are ill-conditioned, while Z is orthogonal. schur is imported
-on first use, so commands without a degree-n chart never load scipy.linalg.
+shifts lambda. D is factored once per degree in real Schur form D = Z T Z^T,
+and up to 512 shifts at a time are one vectorised back substitution against
+T. A chart row solves i omega, with power 2 from the same pass and -i omega
+as its conjugate (T and Z are real), and 2 i omega. No eigendecomposition of
+D is used: D is far from normal and its eigenvectors are ill-conditioned,
+while Z is orthogonal. schur is imported on first use, so commands without a
+degree-n chart never load scipy.linalg.
 """
 
 from __future__ import annotations
@@ -58,23 +59,30 @@ def delta0_lags(delays, lam: complex, order: int = 0) -> list:
     return [-tau * cmath.exp(-lam * tau) for tau in delays]
 
 
-def dde_boundary(omega: float) -> tuple:
+def _dde_coeffs(w: np.ndarray) -> tuple:
+    """(b1, b2) of the exact boundary at w, NaN where sin w vanishes, and that mask."""
+    small = np.abs(w) < 1e-4
+    s = np.sin(w)
+    singular = ~small & (np.abs(s) < 1e-9)
+    s = np.where(small | singular, np.nan, s)
+    w2 = w * w
+    b1 = np.where(small, 1.0 - w2 / 3.0 - w2 * w2 / 45.0, w * np.cos(w) / s)
+    b2 = np.where(small, -(1.0 + w2 / 6.0 + 7.0 * w2 * w2 / 360.0), -w / s)
+    return b1, b2, singular
+
+
+def dde_boundary(omega) -> tuple:
     """Principal Hopf boundary of x' = b1 x + b2 x(t-1) at root i*omega:
     b1 = omega cos(omega)/sin(omega), b2 = -omega/sin(omega). A series
-    fallback covers |omega| < 1e-4 where the quotient degenerates to 0/0."""
-    w = float(omega)
-    if abs(w) < 1e-4:
-        w2 = w * w
-        return (1.0 - w2 / 3.0 - w2 * w2 / 45.0, -(1.0 + w2 / 6.0 + 7.0 * w2 * w2 / 360.0))
-    s = math.sin(w)
-    if abs(s) < 1e-9:
-        raise SingularityError(
-            f"boundary is singular at omega={w} (multiple of pi)"
-        )
-    return (w * math.cos(w) / s, -w / s)
+    fallback covers |omega| < 1e-4 where the quotient degenerates to 0/0.
+    One omega gives floats, an array gives arrays."""
+    w = np.asarray(omega, dtype=float)
+    b1, b2, singular = _dde_coeffs(w)
+    _raise_at(singular, w, "boundary is singular at omega={w} (multiple of pi)")
+    return (float(b1), float(b2)) if w.ndim == 0 else (b1, b2)
 
 
-_CHUNK = 256  # shifts per back-substitution sweep; bounds the work array at n x 256
+_CHUNK = 512  # shifts per sweep at most: work arrays of n x 512 complex, 320 KiB at n = 40
 
 
 @lru_cache(maxsize=64)
@@ -116,6 +124,25 @@ def _back_substitute(t, blocks, shifts: np.ndarray, rhs: np.ndarray) -> np.ndarr
     return out
 
 
+def _lag_powers(n: int, lam, power: int) -> list:
+    """lag_solve_last at powers 1..power, each one more back substitution.
+    Sweeps take up to _CHUNK shifts, a multiple of 256, and the last
+    size % 256 alone. A threaded BLAS splits a sweep between threads and the
+    split can move a column's last bit; this cut gives the bits of 256-wide sweeps."""
+    t, blocks, rhs, last = _schur_factor(n)
+    lam = np.asarray(lam, dtype=complex)
+    shifts = lam.ravel()
+    out = np.empty((power, shifts.size), dtype=complex)
+    tail = shifts.size - shifts.size % 256
+    edges = sorted({*range(0, tail, _CHUNK), tail, shifts.size})
+    for start, stop in zip(edges, edges[1:]):
+        vec = rhs
+        for p in range(power):
+            vec = _back_substitute(t, blocks, shifts[start:stop], vec)
+            out[p, start:stop] = last @ vec
+    return [complex(row[0]) if lam.ndim == 0 else row.reshape(lam.shape) for row in out]
+
+
 def lag_solve_last(n: int, lam, power: int = 1):
     """Last entry of (D - lambda I)^{-power} D 1 on the degree-n mesh, for one
     shift (returns a complex) or an array of shifts (returns an array).
@@ -127,17 +154,7 @@ def lag_solve_last(n: int, lam, power: int = 1):
     keeps Im zeta relatively accurate where it is small (lambda near 0) and
     the values at conjugate shifts exact conjugates, as a dense solve does.
     """
-    t, blocks, rhs, last = _schur_factor(n)
-    lam = np.asarray(lam, dtype=complex)
-    shifts = lam.ravel()
-    out = np.empty(shifts.size, dtype=complex)
-    for start in range(0, shifts.size, _CHUNK):
-        chunk = shifts[start : start + _CHUNK]
-        vec = rhs
-        for _ in range(power):
-            vec = _back_substitute(t, blocks, chunk, vec)
-        out[start : start + _CHUNK] = last @ vec
-    return complex(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
+    return _lag_powers(n, lam, power)[-1]
 
 
 def _raise_at(bad, omega, message: str) -> None:
@@ -147,13 +164,18 @@ def _raise_at(bad, omega, message: str) -> None:
         raise SingularityError(message.format(w=float(np.ravel(omega)[bad.argmax()])))
 
 
-def _ps_coeffs(n: int, w: np.ndarray) -> tuple:
-    """(b1, b2) of the degree-n boundary at the frequencies w, NaN where
-    Im zeta_n vanishes, and the mask of those frequencies."""
-    zn = lag_solve_last(n, 1j * w)
+def _ps_coeffs(w: np.ndarray, zn) -> tuple:
+    """(b1, b2) of the degree-n boundary at the frequencies w from zeta_n at
+    i w, NaN where Im zeta_n vanishes, and the mask of those frequencies."""
     singular = np.abs(zn.imag) < 1e-13 * np.maximum(1.0, np.abs(zn))
     im = np.where(singular, np.nan, zn.imag)
     return -w * zn.real / im, w / im, singular
+
+
+def _ps_boundary(w: np.ndarray, zn) -> tuple:
+    b1, b2, singular = _ps_coeffs(w, zn)
+    _raise_at(singular, w, "discrete boundary is singular at omega={w} (Im zeta_n = 0)")
+    return (float(b1), float(b2)) if w.ndim == 0 else (b1, b2)
 
 
 def ps_boundary(n: int, omega) -> tuple:
@@ -161,9 +183,7 @@ def ps_boundary(n: int, omega) -> tuple:
     zeta = (D - i omega I)^{-1} D 1: b1 = -omega Re zeta_n / Im zeta_n,
     b2 = omega / Im zeta_n. One omega gives floats, an array gives arrays."""
     w = np.asarray(omega, dtype=float)
-    b1, b2, singular = _ps_coeffs(n, w)
-    _raise_at(singular, w, "discrete boundary is singular at omega={w} (Im zeta_n = 0)")
-    return (float(b1), float(b2)) if w.ndim == 0 else (b1, b2)
+    return _ps_boundary(w, lag_solve_last(n, 1j * w))
 
 
 def to_mu_beta(b1: float, b2: float) -> tuple:
@@ -200,11 +220,13 @@ def _g_derivatives(b1, b2) -> tuple:
 def c0_blowfly(omega: float) -> complex:
     """First Lyapunov coefficient along the exact boundary, pi/2 < omega < pi."""
     w = float(omega)
-    b1, b2 = dde_boundary(w)
+    return _c0(w, *dde_boundary(w))
+
+
+def _c0(w: float, b1: float, b2: float) -> complex:
+    """c0_blowfly at omega = w from its boundary point (b1, b2)."""
     if abs(b1 + b2) < 1e-12:
-        raise SingularityError(
-            f"transcritical point at omega={w}: b1 + b2 = 0"
-        )
+        raise SingularityError(f"transcritical point at omega={w}: b1 + b2 = 0")
     d2, d3 = _g_derivatives(b1, b2)
     e1 = cmath.exp(-1j * w)
     den1 = 1.0 + b2 * e1
@@ -219,29 +241,28 @@ def c0_blowfly(omega: float) -> complex:
     return 0.5 * d3 * b10 - d2 * d2 / (b1 + b2) * b10 + 0.5 * d2 * d2 * b20
 
 
-def cn_blowfly(n: int, omega):
-    """First Lyapunov coefficient along the degree-n discretized boundary; one
-    omega gives a complex, an array gives an array.
-
-    The second amplitude denominator uses the resonant lag solve at 2 i omega,
-    mirroring the exact B20; with the solve at i omega the coefficient would
-    not converge to the exact one.
-    """
-    w = np.asarray(omega, dtype=float)
-    b1, b2 = ps_boundary(n, w)
+def _ps_chart(n: int, w: np.ndarray) -> tuple:
+    """(b1, b2, c) on the degree-n boundary. The solve at 2 i w mirrors the
+    exact B20; with the one at i w, c would not converge to the exact one."""
+    z_plus, z_sq = _lag_powers(n, 1j * w, 2)
+    b1, b2 = _ps_boundary(w, z_plus)
     _raise_at(np.abs(b1 + b2) < 1e-12, w, "transcritical point at omega={w}: b1 + b2 = 0")
     d2, d3 = _g_derivatives(b1, b2)
-    z_plus = lag_solve_last(n, 1j * w)
-    z_minus = lag_solve_last(n, -1j * w)
-    z_sq = lag_solve_last(n, 1j * w, power=2)
     den1 = 1.0 - b2 * z_sq
     _raise_at(np.abs(den1) < 1e-12, w, "B1n denominator vanishes at omega={w}")
-    b1n = z_plus * z_plus * z_minus / den1
+    b1n = z_plus * z_plus * z_plus.conjugate() / den1
     z2 = lag_solve_last(n, 2j * w)
     den2 = 2j * w - b1 - b2 * z2
     _raise_at(np.abs(den2) < 1e-12, w, "B2n denominator vanishes at omega={w}")
     b2n = z2 / den2 * b1n
-    c = 0.5 * d3 * b1n - d2 * d2 / (b1 + b2) * b1n + 0.5 * d2 * d2 * b2n
+    return b1, b2, 0.5 * d3 * b1n - d2 * d2 / (b1 + b2) * b1n + 0.5 * d2 * d2 * b2n
+
+
+def cn_blowfly(n: int, omega):
+    """First Lyapunov coefficient along the degree-n discretized boundary; one
+    omega gives a complex, an array gives an array."""
+    w = np.asarray(omega, dtype=float)
+    c = _ps_chart(n, w)[2]
     return complex(c) if w.ndim == 0 else c
 
 
@@ -296,14 +317,15 @@ def boundary_points(omegas, n: Optional[int] = None) -> list:
     """
     w = np.asarray(omegas, dtype=float).ravel()
     if n is None:
-        curve = [(*dde_boundary(x), c0_blowfly(x).real) for x in w]
+        b1, b2 = dde_boundary(w)
+        c = [_c0(*map(float, row)) for row in zip(w, b1, b2)]
     else:
-        curve = zip(*ps_boundary(n, w), cn_blowfly(n, w).real)
+        b1, b2, c = _ps_chart(n, w)
     points = []
-    for x, (b1, b2, re_c) in zip(w, curve):
-        b1, b2 = float(b1), float(b2)
-        mu, beta = to_mu_beta(b1, b2)
-        points.append(BoundaryPoint(float(x), b1, b2, mu, beta, float(re_c)))
+    for x, y1, y2, cx in zip(w, b1, b2, c):
+        y1, y2 = float(y1), float(y2)
+        mu, beta = to_mu_beta(y1, y2)
+        points.append(BoundaryPoint(float(x), y1, y2, mu, beta, float(cx.real)))
     return points
 
 
@@ -341,6 +363,8 @@ def admissible_omegas(
     fine scan; points within `margin` of one are dropped, as are points where
     the boundary is singular or the (mu, beta) interpretation fails (b1 >= 0).
     """
+    if not lo < hi:
+        raise ValueError(f"omega window needs lo < hi, got [{lo}, {hi}]")
     grid = np.linspace(lo, hi, steps)
     near = np.zeros(grid.shape, dtype=bool)
     if n is None:
@@ -348,14 +372,9 @@ def admissible_omegas(
         if first <= last:
             k = np.clip(np.round(grid / math.pi), float(first), float(last))
             near = np.abs(grid - k * math.pi) <= margin
-        b1 = np.full(grid.shape, np.nan)
-        for i, w in enumerate(grid):
-            try:
-                b1[i] = dde_boundary(w)[0]
-            except SingularityError:
-                pass
+        b1, _, _ = _dde_coeffs(grid)  # NaN where the boundary is singular
     else:
         for pole in _discrete_poles(n, lo, hi, steps):
             near |= np.abs(grid - pole) <= margin
-        b1, _, _ = _ps_coeffs(n, grid)  # NaN where the boundary is singular
+        b1, _, _ = _ps_coeffs(grid, lag_solve_last(n, 1j * grid))
     return grid[~near & (b1 < 0.0)]

@@ -313,10 +313,12 @@ def test_lag_solve_last_matches_dense_solves(n, power, shifts):
 
 
 def test_lag_solve_last_keeps_shape_across_chunks():
-    # 600 shifts span three chunks of the batched back substitution
-    lam = (np.linspace(0.0, 2.0, 600) + 1j * np.linspace(-30.0, 30.0, 600)).reshape(20, 30)
+    # 2 _CHUNK + 88 shifts span three sweeps of the batched back substitution
+    size = 2 * analytic._CHUNK + 88
+    lam = np.linspace(0.0, 2.0, size) + 1j * np.linspace(-30.0, 30.0, size)
+    lam = lam.reshape(size // 8, 8)
     got = lag_solve_last(12, lam, 2)
-    assert got.shape == (20, 30)
+    assert got.shape == (size // 8, 8)
     want = np.array([[lag_solve_last(12, x, 2) for x in row] for row in lam])
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
@@ -330,6 +332,128 @@ def test_batched_boundary_names_first_singular_omega():
         ps_boundary(2, np.array([1.0, 4.0, 5.0, 4.0]))
     with pytest.raises(SingularityError, match=r"omega=4\.0 "):
         cn_blowfly(2, np.array([2.0, 4.0]))
+
+
+@pytest.mark.parametrize("n, sizes", [(40, (300, 1000, 1001, 1234, 8000)), (200, (300, 1001, 1234))])
+def test_lag_solve_last_bits_do_not_depend_on_sweep_width(n, sizes, monkeypatch):
+    # every shift keeps the bits it gets from sweeps of 256 shifts, also when
+    # a threaded BLAS splits the wider sweeps' columns between threads
+    lams = [1j * np.linspace(1.6, 3.1, size) for size in sizes]
+    got = [lag_solve_last(n, lam, 2) for lam in lams]
+    monkeypatch.setattr(analytic, "_CHUNK", 256)
+    for lam, value in zip(lams, got):
+        assert np.array_equal(lag_solve_last(n, lam, 2), value)
+
+
+def old_order_chart(n, w):
+    """Reference (b1, b2, c) of the degree-n chart: one public solve per shift
+    set and power, including -i w, assembled in cn_blowfly's order."""
+    w = np.asarray(w, dtype=float)
+    b1, b2 = ps_boundary(n, w)
+    d2, d3 = b1 - b2, -2.0 * b1 + b2
+    z_plus = lag_solve_last(n, 1j * w)
+    z_minus = lag_solve_last(n, -1j * w)
+    z_sq = lag_solve_last(n, 1j * w, power=2)
+    b1n = z_plus * z_plus * z_minus / (1.0 - b2 * z_sq)
+    z2 = lag_solve_last(n, 2j * w)
+    b2n = z2 / (2j * w - b1 - b2 * z2) * b1n
+    return b1, b2, 0.5 * d3 * b1n - d2 * d2 / (b1 + b2) * b1n + 0.5 * d2 * d2 * b2n
+
+
+@pytest.mark.parametrize("n, lo, hi", [(2, 1.6, 3.9), (3, 1.6, 3.0), (12, 1.6, 3.1), (40, 1.58, 3.1)])
+def test_one_pass_chart_equals_the_separate_solves(n, lo, hi):
+    w = np.linspace(lo, hi, 1000)
+    b1, b2, c = old_order_chart(n, w)
+    assert np.array_equal(cn_blowfly(n, w), c)
+    assert all(np.array_equal(x, y) for x, y in zip(ps_boundary(n, w), (b1, b2)))
+    points = boundary_points(w, n)
+    assert [p.b1 for p in points] == list(b1) and [p.b2 for p in points] == list(b2)
+    assert [p.re_c for p in points] == list(c.real)
+    for x in w[::97]:
+        assert cn_blowfly(n, x) == old_order_chart(n, x)[2]
+        assert ps_boundary(n, x) == old_order_chart(n, x)[:2]
+
+
+def test_one_pass_chart_names_the_n2_pole():
+    # the n=2 curve has its pole at omega = 4, inside this window
+    w = np.linspace(3.0, 5.0, 201)
+    with pytest.raises(SingularityError) as old:
+        old_order_chart(2, w)
+    for chart in (cn_blowfly, ps_boundary, lambda n, x: boundary_points(x, n)):
+        with pytest.raises(SingularityError, match=r"omega=4\.0 ") as new:
+            chart(2, w)
+        assert str(new.value) == str(old.value)
+
+
+def math_dde_boundary(w):
+    """Reference for dde_boundary: the scalar closed form with the math module."""
+    if abs(w) < 1e-4:
+        w2 = w * w
+        return (1.0 - w2 / 3.0 - w2 * w2 / 45.0, -(1.0 + w2 / 6.0 + 7.0 * w2 * w2 / 360.0))
+    s = math.sin(w)
+    if abs(s) < 1e-9:
+        raise SingularityError(f"boundary is singular at omega={w} (multiple of pi)")
+    return (w * math.cos(w) / s, -w / s)
+
+
+def test_array_dde_boundary_equals_scalar_calls():
+    rng = np.random.default_rng(5)
+    w = np.concatenate([rng.uniform(-9.0, 9.0, 2000), rng.uniform(-2e-4, 2e-4, 200),
+                        [0.0, 1e-4, -1e-4, 9.99e-5, 1.6, 3.1]])
+    b1, b2 = dde_boundary(w)
+    for x, y1, y2 in zip(w, b1, b2):
+        assert dde_boundary(x) == math_dde_boundary(x) == (y1, y2)
+    got = dde_boundary(w[:2200].reshape(11, 200))
+    assert np.array_equal(got[1], b2[:2200].reshape(11, 200))
+    bad = np.array([2.0, 0.0, 2 * math.pi, 1e-5, math.pi, 3 * math.pi])
+    with pytest.raises(SingularityError) as err:
+        dde_boundary(bad)
+    with pytest.raises(SingularityError) as want:
+        math_dde_boundary(2 * math.pi)
+    assert str(err.value) == str(want.value)
+
+
+def test_exact_boundary_points_equal_scalar_calls():
+    w = admissible_omegas(1.58, 3.1, 1000)
+    points = boundary_points(w)
+    assert [(p.b1, p.b2) for p in points] == [math_dde_boundary(x) for x in w]
+    assert [p.re_c for p in points] == [c0_blowfly(x).real for x in w]
+
+
+def test_exact_boundary_points_name_the_first_pole_then_the_first_b1():
+    # as on the degree-n curve, each check runs over every omega in turn
+    with pytest.raises(SingularityError, match=r"omega=3\.14159"):
+        boundary_points([2.0, 1.0, math.pi])
+    with pytest.raises(ValueError, match=r"b1=0\.642"):
+        boundary_points([2.0, 1.0, 1.5])
+
+
+def test_boundary_points_solves_each_shift_set_once(monkeypatch):
+    sweeps = []
+    solve = analytic._back_substitute
+
+    def counted(t, blocks, shifts, rhs):
+        sweeps.append(shifts.size)
+        return solve(t, blocks, shifts, rhs)
+
+    w = np.linspace(1.6, 3.1, 1000)
+    monkeypatch.setattr(analytic, "_back_substitute", counted)
+    lag_solve_last(40, 1j * w)
+    per_pass = len(sweeps)
+    assert max(sweeps) == analytic._CHUNK > 256 and sum(sweeps) == 1000
+    sweeps.clear()
+    boundary_points(w, 40)
+    # i w to powers 1 and 2, then 2 i w: three passes
+    assert len(sweeps) == 3 * per_pass and sum(sweeps) == 3000
+
+
+def test_admissible_omegas_needs_an_increasing_window():
+    # a reversed window would leave the k pi exclusion empty and keep 3.14100
+    for n in (None, 40):
+        for lo, hi in ((3.3, 3.0), (2.0, 2.0)):
+            with pytest.raises(ValueError, match="lo < hi"):
+                admissible_omegas(lo, hi, 301, n)
+    assert np.all(np.abs(admissible_omegas(3.0, 3.3, 301) - math.pi) > 1e-3)
 
 
 def test_chart_n40_matches_dense_solves(monkeypatch):

@@ -251,6 +251,15 @@ def test_chart_blowfly_wide_window_finishes(capsys):
     assert all(math.isfinite(float(v)) for r in rows for v in r[1:])
 
 
+def test_chart_blowfly_refuses_a_reversed_window(capsys):
+    # a reversed window would keep omega = 3.14100, inside the margin around pi
+    for lo, hi in (("3.3", "3.0"), ("3.0", "3.0")):
+        code, out, err = run(capsys, ["chart-blowfly", "--n", "40", "--omega-min", lo,
+                                      "--omega-max", hi, "--steps", "301"])
+        assert code == 2 and out == ""
+        assert err == f"error: omega window needs lo < hi, got [{lo}, {hi}]\n"
+
+
 def test_model_file_path_accepted(capsys, tmp_path):
     doc = {"dim": 1, "delays": [0.0, 1.0], "rhs": ["-x0@0 + a*x0@1"],
            "params": {"a": 0.5}, "equilibrium_hint": [0.0]}
