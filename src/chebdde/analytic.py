@@ -16,8 +16,9 @@ and up to 512 shifts at a time are one vectorised back substitution against
 T. A chart row solves i omega, with power 2 from the same pass and -i omega
 as its conjugate (T and Z are real), and 2 i omega. No eigendecomposition of
 D is used: D is far from normal and its eigenvectors are ill-conditioned,
-while Z is orthogonal. schur is imported on first use, so commands without a
-degree-n chart never load scipy.linalg.
+while Z is orthogonal. The curve's poles are the eigenvalues of one
+(n-1) x (n-1) matrix per degree, built from D^2. scipy.linalg is imported on
+first use, so commands without a degree-n chart never load it.
 """
 
 from __future__ import annotations
@@ -105,6 +106,26 @@ def _schur_factor(n: int):
     return t, tuple(reversed(blocks)), rhs, z[-1].copy()
 
 
+@lru_cache(maxsize=64)
+def _chart_poles(n: int) -> tuple:
+    """The omegas > 0, sorted, where Im zeta_n(i omega) changes sign.
+
+    Im zeta_n(i w) = w e_n^T (D^2 + w^2 I)^{-1} b with b = D 1 vanishes where
+    mu = -w^2 is a zero of e_n^T (D^2 - mu I)^{-1} b. For b_n != 0 these are
+    the eigenvalues of A' - b' a^T / b_n: A' and b' are D^2 and b without
+    their last row (and column), a^T is D^2's last row without its last entry
+    (Emami-Naeini & Van Dooren, Automatica 1982). A real eigenvalue comes
+    with imaginary part exactly 0; a complex pair is off the axis, where the
+    sign holds. scipy's eigvals shares schur's LAPACK; numpy's adds ~0.8 MB."""
+    from scipy.linalg import eigvals
+    diff = diff_matrix(make_mesh(n))
+    sq, b = diff.D @ diff.D, -diff.d0
+    if not abs(b[-1]) > 1e-12 * np.abs(b).max():
+        raise SingularityError(f"degree-{n} pole formula needs (D 1)_n != 0, got {b[-1]}")
+    mu = eigvals(sq[:-1, :-1] - np.outer(b[:-1], sq[-1, :-1]) / b[-1])
+    return tuple(np.sort(np.sqrt(-mu[(mu.imag == 0.0) & (mu.real < 0.0)].real)).tolist())
+
+
 def _back_substitute(t, blocks, shifts: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Columns x_j of (T - s_j I) x_j = rhs_j for quasi-triangular T, every
     shift in one sweep over the diagonal blocks; a 2 x 2 block is solved by
@@ -157,11 +178,11 @@ def lag_solve_last(n: int, lam, power: int = 1):
     return _lag_powers(n, lam, power)[-1]
 
 
-def _raise_at(bad, omega, message: str) -> None:
-    """Raise SingularityError naming the first omega where `bad` holds."""
+def _raise_at(bad, omega, message: str, error=SingularityError) -> None:
+    """Raise `error` naming the first omega where `bad` holds."""
     bad = np.ravel(bad)
     if bad.any():
-        raise SingularityError(message.format(w=float(np.ravel(omega)[bad.argmax()])))
+        raise error(message.format(w=float(np.ravel(omega)[bad.argmax()])))
 
 
 def _ps_coeffs(w: np.ndarray, zn) -> tuple:
@@ -186,13 +207,14 @@ def ps_boundary(n: int, omega) -> tuple:
     return _ps_boundary(w, lag_solve_last(n, 1j * w))
 
 
+_NEEDS_MU = "b1={w} >= 0: interpretation as population parameters needs mu > 0"
+
+
 def to_mu_beta(b1: float, b2: float) -> tuple:
     """Map linearization coefficients to delayed-recruitment parameters:
     mu = -b1, beta = -b1 e^{1 + b2/b1}."""
     if b1 >= 0.0:
-        raise ValueError(
-            f"b1={b1} >= 0: interpretation as population parameters needs mu > 0"
-        )
+        raise ValueError(_NEEDS_MU.format(w=b1))
     try:
         beta = -b1 * math.exp(1.0 + b2 / b1)
     except OverflowError:
@@ -207,13 +229,10 @@ def _g_derivatives(b1, b2) -> tuple:
     positive equilibrium, mu ln(beta/mu) - 2 mu and -mu ln(beta/mu) + 3 mu,
     rewritten via mu = -b1 and mu ln(beta/mu) = -(b1 + b2) so they stay
     finite at the boundary ends where beta itself overflows. Elementwise on
-    arrays; the error names the first b1 >= 0."""
-    bad = np.ravel(np.asarray(b1) >= 0.0)
-    if bad.any():
-        raise ValueError(
-            f"b1={float(np.ravel(b1)[bad.argmax()])} >= 0: "
-            "interpretation as population parameters needs mu > 0"
-        )
+    arrays; the error names the first b1 >= 0. A float b1 < 0 skips the array
+    test, which would cost more than the rest of an exact chart row."""
+    if not (isinstance(b1, float) and b1 < 0.0):
+        _raise_at(np.asarray(b1) >= 0.0, b1, _NEEDS_MU, ValueError)
     return (b1 - b2, -2.0 * b1 + b2)
 
 
@@ -266,32 +285,28 @@ def cn_blowfly(n: int, omega):
     return complex(c) if w.ndim == 0 else c
 
 
-def _b1_n2(omega: float) -> float:
-    w2 = omega * omega
-    if abs(w2 - 16.0) < 1e-12:
-        raise SingularityError(f"n=2 boundary singular at omega={omega}")
-    return (7.0 * w2 - 16.0) / (w2 - 16.0)
-
-
-def lambda_prime_n2(omega: float) -> complex:
-    """Eigenvalue crossing speed d lambda / d b2 along the n=2 boundary."""
+def _b1_n2(omega: float) -> tuple:
+    """(omega, b1) on the principal n=2 branch 0 < |omega| < 4."""
     w = float(omega)
     if w == 0.0:
         raise ValueError("crossing speed is undefined at omega = 0")
     if not -4.0 < w < 4.0:
         raise ValueError(f"omega={w} outside the principal n=2 branch (-4, 4)")
-    b1 = _b1_n2(w)
+    w2 = w * w
+    if abs(w2 - 16.0) < 1e-12:
+        raise SingularityError(f"n=2 boundary singular at omega={w}")
+    return w, (7.0 * w2 - 16.0) / (w2 - 16.0)
+
+
+def lambda_prime_n2(omega: float) -> complex:
+    """Eigenvalue crossing speed d lambda / d b2 along the n=2 boundary."""
+    w, b1 = _b1_n2(omega)
     return (1j * w - 4.0) / (w * (-2.0 * w + 6j - 2j * b1))
 
 
 def lambda_prime_n2_re(omega: float) -> float:
     """Closed-form real part of the crossing speed: (14-2 b1)/(4 w^2+(6-2 b1)^2)."""
-    w = float(omega)
-    if w == 0.0:
-        raise ValueError("crossing speed is undefined at omega = 0")
-    if not -4.0 < w < 4.0:
-        raise ValueError(f"omega={w} outside the principal n=2 branch (-4, 4)")
-    b1 = _b1_n2(w)
+    w, b1 = _b1_n2(omega)
     return (14.0 - 2.0 * b1) / (4.0 * w * w + (6.0 - 2.0 * b1) ** 2)
 
 
@@ -334,34 +349,17 @@ def boundary_point(omega: float, n: Optional[int] = None) -> BoundaryPoint:
     return boundary_points([omega], n)[0]
 
 
-def _discrete_poles(n: int, lo: float, hi: float, steps: int) -> np.ndarray:
-    """Sign changes of Im zeta_n on a fine scan of [lo, hi], each bisected 60
-    times; all brackets halve together, one batched lag solve per halving."""
-    scan = np.linspace(lo, hi, max(steps * 8, 800))
-    vals = lag_solve_last(n, 1j * scan).imag
-    fa, fb = vals[:-1], vals[1:]
-    at = np.flatnonzero((fa == 0.0) | ((fa < 0) != (fb < 0)))
-    if at.size == 0:
-        return np.empty(0)
-    x, y, neg = scan[at], scan[at + 1], fa[at] < 0
-    for _ in range(60):
-        m = 0.5 * (x + y)
-        same = (lag_solve_last(n, 1j * m).imag < 0) == neg
-        x = np.where(same, m, x)
-        y = np.where(same, y, m)
-    return 0.5 * (x + y)
-
-
 def admissible_omegas(
     lo: float, hi: float, steps: int, n: Optional[int] = None, margin: float = 1e-3
 ) -> np.ndarray:
     """Uniform omega grid with exclusion zones around curve singularities.
 
     Singular abscissas are the multiples k pi, k >= 1, of [lo, hi] for the
-    exact curve (each grid point is tested against the nearest one) and sign
-    changes of Im zeta_n for the discretized one, located by bisection on a
-    fine scan; points within `margin` of one are dropped, as are points where
-    the boundary is singular or the (mu, beta) interpretation fails (b1 >= 0).
+    exact curve (each grid point is tested against the nearest one) and the
+    omegas > 0 in [lo, hi] where Im zeta_n changes sign for the discretized
+    one, the eigenvalues of one cached (n-1) x (n-1) matrix (_chart_poles);
+    points within `margin` of one are dropped, as are points where the
+    boundary is singular or the (mu, beta) interpretation fails (b1 >= 0).
     """
     if not lo < hi:
         raise ValueError(f"omega window needs lo < hi, got [{lo}, {hi}]")
@@ -374,7 +372,8 @@ def admissible_omegas(
             near = np.abs(grid - k * math.pi) <= margin
         b1, _, _ = _dde_coeffs(grid)  # NaN where the boundary is singular
     else:
-        for pole in _discrete_poles(n, lo, hi, steps):
-            near |= np.abs(grid - pole) <= margin
+        for pole in _chart_poles(n):
+            if lo <= pole <= hi:
+                near |= np.abs(grid - pole) <= margin
         b1, _, _ = _ps_coeffs(grid, lag_solve_last(n, 1j * grid))
     return grid[~near & (b1 < 0.0)]

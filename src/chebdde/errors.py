@@ -67,6 +67,12 @@ class SingularityError(ChebddeError):
     code = "singular_point"
 
 
+class NotARootError(ChebddeError, ValueError):
+    """A given Hopf point does not solve the characteristic equation (a bad argument)."""
+
+    code = "not_a_root"
+
+
 class SimplicityError(ChebddeError):
     """The critical root is not numerically simple."""
 

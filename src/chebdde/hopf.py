@@ -31,6 +31,7 @@ from .errors import (
     ConditioningError,
     ContinuationError,
     ConvergenceError,
+    NotARootError,
     ResonanceError,
     SimplicityError,
     SingularityError,
@@ -276,7 +277,7 @@ def hopf_point(cf, param: str, omega: float, alpha: float, k_max: int = 10,
     delta, dl, _ = _jet(cur, lam)
     root_res = _smin(delta)
     if not root_res < RES_TOL * (1.0 + abs(omega)):
-        raise ValueError(
+        raise NotARootError(
             f"(omega, {param}) = ({omega:.6g}, {alpha:.6g}) does not solve the "
             f"characteristic equation (residual {root_res:.2e})"
         )

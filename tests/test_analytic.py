@@ -49,10 +49,9 @@ def dense_lag_solve_last(n, lam, power=1):
     return complex(out[0]) if lam.ndim == 0 else out.reshape(lam.shape)
 
 
-def per_point_omegas(lo, hi, steps, n, margin=1e-3):
-    """The per-point form of admissible_omegas for a degree n: scalar dense
-    solves on the scan, one bisection per bracket, one test per grid point.
-    Returns the kept grid and the located poles."""
+def per_point_poles(lo, hi, steps, n):
+    """Sign changes of Im zeta_n on [lo, hi] from scalar dense solves: a scan
+    of max(8 steps, 800) points, then one 60-step bisection per bracket."""
     def im_zeta(w):
         return dense_lag_solve_last(n, 1j * w).imag
 
@@ -69,6 +68,14 @@ def per_point_omegas(lo, hi, steps, n, margin=1e-3):
                 else:
                     y = m
             poles.append(0.5 * (x + y))
+    return poles
+
+
+def per_point_omegas(lo, hi, steps, n, margin=1e-3):
+    """The per-point form of admissible_omegas for a degree n: the poles of
+    per_point_poles, then one test per grid point. Returns the kept grid and
+    the located poles."""
+    poles = per_point_poles(lo, hi, steps, n)
     keep = []
     for w in np.linspace(lo, hi, steps):
         if any(abs(w - s) <= margin for s in poles):
@@ -445,6 +452,10 @@ def test_boundary_points_solves_each_shift_set_once(monkeypatch):
     boundary_points(w, 40)
     # i w to powers 1 and 2, then 2 i w: three passes
     assert len(sweeps) == 3 * per_pass and sum(sweeps) == 3000
+    sweeps.clear()
+    admissible_omegas(1.6, 3.1, 1000, n=40)
+    # the poles come from one eigenproblem: the grid is the only pass
+    assert len(sweeps) == per_pass and sum(sweeps) == 1000
 
 
 def test_admissible_omegas_needs_an_increasing_window():
@@ -501,3 +512,39 @@ def test_exact_pole_filter_matches_full_list():
             if b1 < 0.0:
                 want.append(w)
         assert np.array_equal(admissible_omegas(lo, hi, steps, margin=margin), want)
+
+
+def test_n2_pole_is_the_closed_form():
+    # _b1_n2 is singular where omega^2 = 16
+    (pole,) = analytic._chart_poles(2)
+    assert abs(pole - 4.0) <= 1e-14 * 4.0
+
+
+@pytest.mark.parametrize("n, lo, hi", [
+    (2, 0.01, 30.0), (3, 0.01, 30.0), (12, 0.01, 30.0),
+    (40, 1.6, 10.0), (100, 1.6, 10.0), (200, 1.6, 10.0),
+])
+def test_chart_poles_match_the_per_point_scan(n, lo, hi):
+    want = per_point_poles(lo, hi, 100, n)
+    got = np.array([p for p in analytic._chart_poles(n) if lo <= p <= hi])
+    assert len(want) > 0 and len(got) == len(want)
+    assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want))
+
+
+def test_degree_one_chart_has_no_poles():
+    assert analytic._chart_poles(1) == ()
+    grid = np.linspace(1.6, 3.1, 50)
+    assert np.array_equal(admissible_omegas(1.6, 3.1, 50, n=1), grid[ps_boundary(1, grid)[0] < 0.0])
+
+
+def test_chart_poles_need_a_nonzero_last_entry_of_d1(monkeypatch):
+    def zero_last(mesh):
+        diff = diff_matrix(mesh)
+        d0 = diff.d0.copy()
+        d0[-1] = 0.0
+        return type(diff)(D=diff.D, d0=d0)
+
+    monkeypatch.setattr(analytic, "diff_matrix", zero_last)
+    with pytest.raises(SingularityError, match=r"\(D 1\)_n != 0"):
+        analytic._chart_poles.__wrapped__(6)
+

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -249,6 +252,23 @@ def test_chart_blowfly_wide_window_finishes(capsys):
     header, rows = rows_of(out)
     assert [r[0] for r in rows] == ["dde", "discretized"]
     assert all(math.isfinite(float(v)) for r in rows for v in r[1:])
+
+
+def test_chart_blowfly_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the perfbench chart argv, in fresh processes under one and two BLAS threads
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    results = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"chart-{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "chebdde.cli", "chart-blowfly", "--n", "40",
+             "--omega-min", "1.6", "--omega-max", "3.1", "--steps", "1000", "--out", str(out)],
+            env=env, capture_output=True, check=True)
+        results.append((done.stdout, done.stderr, out.read_bytes()))
+    assert results[0][2].count(b"\ndiscretized,") > 900
+    assert results[0] == results[1]
 
 
 def test_chart_blowfly_refuses_a_reversed_window(capsys):

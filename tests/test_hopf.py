@@ -15,6 +15,7 @@ from chebdde.analytic import (
 )
 from chebdde.discretize import assemble_An, charfn_eval, eigenvalues, make_system
 from chebdde.errors import (
+    ChebddeError,
     ContinuationError,
     ConvergenceError,
     ResonanceError,
@@ -111,6 +112,16 @@ def test_hopf_point_rejects_nonroot():
     cf = make_system(blowflies(MU, 25.0))
     with pytest.raises(ValueError, match="does not solve"):
         hopf_point(cf, "beta", 2.4, 25.0)
+
+
+@pytest.mark.parametrize("n", [None, 10])
+def test_nonroot_is_a_numerical_failure_with_a_payload(n):
+    # a ChebddeError, so the CLI reports it as exit 1 with a JSON payload
+    with pytest.raises(ChebddeError, match="does not solve") as err:
+        hopf_point(make_system(blowflies(MU, 25.0), n), "beta", 2.4, 25.0)
+    payload = err.value.payload()
+    assert payload["error"] == "not_a_root"
+    assert payload["message"].startswith("(omega, beta) = (2.4, 25) does not solve")
 
 
 def test_sigma_and_a2_match_closed_forms():
