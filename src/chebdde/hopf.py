@@ -37,7 +37,6 @@ from .errors import (
     SingularityError,
     UnknownSymbolError,
 )
-from .model import bilinear_form, trilinear_form
 
 __all__ = [
     "ResonanceVerdict",
@@ -163,9 +162,10 @@ def _at_alpha(cf, param: str, alpha: float):
     return cf
 
 
-def _critical_pair(cf, lam: complex):
-    """Kernel vectors (p, q) with p[0] = 1 and q . D1 Delta p = 1."""
-    delta, dl, _ = _jet(cf, lam)
+def _critical_pair(cf, lam: complex, jet=None):
+    """Kernel vectors (p, q) with p[0] = 1 and q . D1 Delta p = 1; `jet` is
+    _jet(cf, lam) when the caller already has it."""
+    delta, dl, _ = _jet(cf, lam) if jet is None else jet
     if cf.dim == 1:
         p = np.ones(1, dtype=complex)
         qt = np.ones(1, dtype=complex)
@@ -186,10 +186,10 @@ def _critical_pair(cf, lam: complex):
     return p, qt / s
 
 
-def _transversality(cf, omega: float, param: str, pair) -> float:
+def _transversality(cf, omega: float, param: str, pair, jet=None) -> float:
     p, q = pair
-    da = _jet(cf, 1j * omega, (param,), slope=False)[2][0]
-    return float((q @ (da @ p)).real)
+    jet = _jet(cf, 1j * omega, (param,), slope=False) if jet is None else jet
+    return float((q @ (jet[2][0] @ p)).real)
 
 
 def _lyapunov(cf, omega: float, pair) -> complex:
@@ -200,24 +200,22 @@ def _lyapunov(cf, omega: float, pair) -> complex:
     forms is constant for w0 and carries the 2-i-omega lag values for w2.
     """
     model, xbar = cf.model, cf.equilibrium
-    lam = 1j * omega
     p, q = pair
-    v1 = cf.lag_values(lam)
-    lags = range(len(model.delays))
-    phi = {(i, k): v1[k] * p[i] for i in range(cf.dim) for k in lags}
-    phib = {key: val.conjugate() for key, val in phi.items()}
-    h11 = bilinear_form(model, xbar, phi, phib)
-    h20 = bilinear_form(model, xbar, phi, phi)
+    hess = model.derivs.second(xbar, model.params)[1]
+    third = model.derivs.third(xbar, model.params)
+    phi = np.outer(cf.lag_values(1j * omega), p).ravel()
+    phib = phi.conj()
+    h11 = hess @ phib @ phi
+    h20 = hess @ phi @ phi
     w0 = _resonant_solve(cf, 0.0, h11, "transcritical coincidence, 0 is a root")
     w2 = _resonant_solve(
         cf, 2j * omega, h20, "two-to-one resonance, 2 i omega is a root"
     )
-    v2 = cf.lag_values(2j * omega)
-    w0dir = {(i, k): w0[i] for i in range(cf.dim) for k in lags}
-    w2dir = {(i, k): v2[k] * w2[i] for i in range(cf.dim) for k in lags}
-    terms = 0.5 * trilinear_form(model, xbar, phi, phi, phib)
-    terms = terms + bilinear_form(model, xbar, w0dir, phi)
-    terms = terms + 0.5 * bilinear_form(model, xbar, w2dir, phib)
+    w0dir = np.tile(w0, len(model.delays))
+    w2dir = np.outer(cf.lag_values(2j * omega), w2).ravel()
+    terms = 0.5 * (third @ phib @ phi @ phi)
+    terms = terms + hess @ phi @ w0dir
+    terms = terms + 0.5 * (hess @ phib @ w2dir)
     return complex(q @ terms)
 
 
@@ -274,7 +272,8 @@ def hopf_point(cf, param: str, omega: float, alpha: float, k_max: int = 10,
     alpha = float(alpha)
     cur = _at_alpha(cf, param, alpha)
     lam = 1j * omega
-    delta, dl, _ = _jet(cur, lam)
+    jet = _jet(cur, lam, (param,))
+    delta, dl, _ = jet
     root_res = _smin(delta)
     if not root_res < RES_TOL * (1.0 + abs(omega)):
         raise NotARootError(
@@ -282,8 +281,8 @@ def hopf_point(cf, param: str, omega: float, alpha: float, k_max: int = 10,
             f"characteristic equation (residual {root_res:.2e})"
         )
     simplicity = _smin(dl)
-    pair = _critical_pair(cur, lam)
-    sigma = _transversality(cur, omega, param, pair)
+    pair = _critical_pair(cur, lam, jet)
+    sigma = _transversality(cur, omega, param, pair, jet)
     c = _lyapunov(cur, omega, pair)
     a2 = c.real / sigma if sigma != 0.0 else math.nan
     verdict = _nonresonance_verdict(cur, omega, k_max)
@@ -600,18 +599,7 @@ def convergence_study(model, param: str, fixed, n_list, omega_guess=None,
         try:
             h = locate(n)
         except ChebddeError as exc:
-            rows.append(
-                StudyRow(
-                    n=n,
-                    alpha_err=math.nan,
-                    omega_err=math.nan,
-                    a2_err=math.nan,
-                    sigma=math.nan,
-                    simplicity=math.nan,
-                    nonres_margin=math.nan,
-                    failure=exc.code,
-                )
-            )
+            rows.append(StudyRow(n, *[math.nan] * 6, failure=exc.code))
             continue
         margin = min(m for _, m in h.nonresonance.margins)
         rows.append(

@@ -2,11 +2,11 @@
 
 A model is a d-dimensional system x'(t) = f(x(t-tau_0), ..., x(t-tau_K)) with
 point delays scaled so the largest is 1, right-hand sides given as expression
-trees, and a real parameter map. Equilibria and linearizations come from
-symbolic first and second derivatives of the expression trees, compiled once
-per model, so the coefficients are exact derivatives, not difference
-quotients, and the equilibrium Newton's last Jacobian is the linearization.
-The Hopf normal form's second- and third-order forms still use Taylor jets.
+trees, and a real parameter map. Equilibria, linearizations and the Hopf
+normal form's second- and third-order forms come from symbolic derivatives
+of the expression trees, compiled once per model (the third on first use),
+so they are exact derivatives, not difference quotients, and the equilibrium
+Newton's last Jacobian is the linearization.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -54,8 +55,9 @@ __all__ = [
 
 
 class _Derivatives:
-    """The rhs and its first and second derivatives at a constant state,
-    differentiated symbolically and compiled once per model.
+    """The rhs and its first three derivatives at a constant state,
+    differentiated symbolically and compiled once per model, the third on
+    first use.
 
     Slot i = lag * dim + comp stands for x_comp(t - tau_lag). Parameter
     values are arguments, so one instance serves every parameter point.
@@ -65,17 +67,19 @@ class _Derivatives:
         self.shape = (dim, n_lags, dim)
         self.names = tuple(names)
         self.texts = tuple(to_text(tree) for tree in trees)
-        slots = [State(comp, lag) for lag in range(n_lags) for comp in range(dim)]
+        self._slots = [State(comp, lag) for lag in range(n_lags) for comp in range(dim)]
         params = [Param(name) for name in self.names]
-        first, second = [], []
+        first, second, self._hess = [], [], []
         for tree in trees:
-            grad = [diff(tree, s) for s in slots]
+            grad = [diff(tree, s) for s in self._slots]
+            hess = [diff(g, s) for g in grad for s in self._slots]
             first.append([tree, *grad])
             second.append(
                 [diff(tree, a) for a in params]
-                + [diff(g, s) for g in grad for s in slots]
+                + hess
                 + [diff(g, a) for g in grad for a in params]
             )
+            self._hess.append(hess)
         self._first = compile_rows(first, self.names)
         self._second = compile_rows(second, self.names)
 
@@ -113,6 +117,17 @@ class _Derivatives:
         hess = rest[:, : m * m].reshape(d, m, m)
         mixed = rest[:, m * m :].reshape(d, m, n_par)
         return f_alpha, hess, mixed
+
+    @cached_property
+    def _third(self):
+        rows = [[diff(h, s) for h in hess for s in self._slots] for hess in self._hess]
+        return compile_rows(rows, self.names)
+
+    def third(self, x, params):
+        """d3f/dv dv' dv'', shape (d, m, m, m) over the m = K d slots;
+        compiled on first use."""
+        m = len(self._slots)
+        return self._rows(self._third, x, params).reshape(-1, m, m, m)
 
 
 @dataclass(frozen=True)
@@ -379,12 +394,10 @@ def _param_jacobians(model: DdeModel, xbar, grad) -> dict:
     }
 
 
-def _history_base(model: DdeModel, xbar) -> dict:
-    base = {}
-    for tree in model.rhs:
-        for key in state_symbols(tree):
-            base[key] = complex(xbar[key[0]])
-    return base
+def _slot_vector(model: DdeModel, direction) -> np.ndarray:
+    """A {(comp, lag): value} direction over the slots lag * dim + comp."""
+    slots = ((comp, lag) for lag in range(len(model.delays)) for comp in range(model.dim))
+    return np.array([direction.get(key, 0.0) for key in slots], dtype=complex)
 
 
 def bilinear_form(model: DdeModel, xbar, u, v) -> np.ndarray:
@@ -393,15 +406,11 @@ def bilinear_form(model: DdeModel, xbar, u, v) -> np.ndarray:
     u and v assign a complex value per (comp, lag); since the linear part is
     degree one, this equals the second derivative of the shifted nonlinearity.
     """
-    base = _history_base(model, xbar)
-    return np.array(
-        [eval_jet3(tree, base, [u, v], model.params) for tree in model.rhs]
-    )
+    hess = model.derivs.second(xbar, model.params)[1]
+    return hess @ _slot_vector(model, v) @ _slot_vector(model, u)
 
 
 def trilinear_form(model: DdeModel, xbar, u, v, w) -> np.ndarray:
     """Componentwise third derivative D^3 f(xbar)(u, v, w) of the full rhs."""
-    base = _history_base(model, xbar)
-    return np.array(
-        [eval_jet3(tree, base, [u, v, w], model.params) for tree in model.rhs]
-    )
+    w, v, u = (_slot_vector(model, z) for z in (w, v, u))
+    return model.derivs.third(xbar, model.params) @ w @ v @ u

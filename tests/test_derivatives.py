@@ -1,7 +1,9 @@
-"""Compiled symbolic derivatives of the model rhs (model.derivs), checked
-against 40-digit central differences, the jets and closed forms."""
+"""Compiled symbolic derivatives of the model rhs (model.derivs) and the
+normal-form forms built on them, checked against 40-digit central
+differences, the jets and closed forms."""
 
 import math
+from itertools import combinations_with_replacement, permutations, product
 
 import mpmath as mp
 import numpy as np
@@ -15,10 +17,13 @@ from chebdde.model import (
     bilinear_form,
     blowflies,
     equilibrium_solve,
+    eval_jet3,
     fluidflow,
     linearize,
     make_model,
+    trilinear_form,
 )
+from test_simulate import three_delay_model
 
 # two components, two delays: slot i = lag * 2 + comp
 SLOTS = [(comp, lag) for lag in range(2) for comp in range(2)]
@@ -88,6 +93,20 @@ def _central2(f, u, v, h):
     return [(a - b - c + d) / (4 * h * h) for a, b, c, d in zip(pp, pm, mp_, mm)]
 
 
+def _central3(f, u, v, w, h):
+    """sum of s_u s_v s_w f(x + h (s_u u + s_v v + s_w w)) / 8h^3 over the
+    eight sign triples; exact on cubics."""
+    total = None
+    for signs in product((1, -1), repeat=3):
+        steps = {}
+        for key, sign in zip((u, v, w), signs):
+            steps[key] = steps.get(key, 0) + sign * h
+        weight = signs[0] * signs[1] * signs[2]
+        vals = [weight * val for val in f(steps)]
+        total = vals if total is None else [a + b for a, b in zip(total, vals)]
+    return [t / (8 * h**3) for t in total]
+
+
 def _close(got, want, tol=1e-9):
     return abs(got - float(want)) <= tol * (1.0 + abs(float(want)))
 
@@ -135,18 +154,34 @@ def _check_against_mpmath(trees, x, par):
     for k, name in enumerate(NAMES):
         for r, want in enumerate(_central1(f, name, h)):
             assert _close(f_alpha[r, k], want)
+    # a wider step for the third difference: it divides by h^3
+    third = model.derivs.third(x, params)
+    for ijk in combinations_with_replacement(range(len(SLOTS)), 3):
+        wants = _central3(f, *(SLOTS[i] for i in ijk), mp.mpf("1e-8"))
+        for r, want in enumerate(wants):
+            for perm in permutations(ijk):
+                assert _close(third[(r, *perm)], want)
 
 
-@pytest.mark.parametrize("model", [blowflies(mu=7.0, beta=105.0), fluidflow(k=1.5, c=1.5)])
+@pytest.mark.parametrize(
+    "model",
+    [blowflies(mu=7.0, beta=105.0), fluidflow(k=1.5, c=1.5), three_delay_model()],
+)
 def test_compiled_hessian_equals_jet_bilinear_form(model):
+    # the forms contract the compiled derivatives; eval_jet3 polarizes
+    # Taylor-jet walks of the tree, a reference independent of them, for the
+    # second-order form and the third-order one alike
     xbar = equilibrium_solve(model)
-    d = model.dim
-    slots = [(comp, lag) for lag in range(len(model.delays)) for comp in range(d)]
-    _, hess, _ = model.derivs.second(xbar, model.params)
-    for i, u in enumerate(slots):
-        for j, v in enumerate(slots):
-            jets = bilinear_form(model, xbar, {u: 1.0}, {v: 1.0})
-            assert np.max(np.abs(hess[:, i, j] - jets)) < 1e-12
+    keys = [(comp, lag) for lag in range(len(model.delays)) for comp in range(model.dim)]
+    base = {key: complex(xbar[key[0]]) for key in keys}
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        u, v, w = ({key: complex(*rng.normal(size=2)) for key in keys} for _ in range(3))
+        for got, dirs in ((bilinear_form(model, xbar, u, v), [u, v]),
+                          (trilinear_form(model, xbar, u, v, w), [u, v, w])):
+            want = np.array([eval_jet3(tree, base, dirs, model.params)
+                             for tree in model.rhs])
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_blowflies_param_jacobians_closed_form():
@@ -202,6 +237,9 @@ def test_compiled_overflow_is_a_domain_error():
     assert "1 - exp(x0@1)" in str(err.value)
     with pytest.raises(EvalDomainError):
         linearize(model, [1000.0])
+    with pytest.raises(EvalDomainError) as err:
+        model.derivs.third([1000.0], {})
+    assert "1 - exp(x0@1)" in str(err.value)
 
 
 def test_diff_folds_constants():

@@ -1,6 +1,8 @@
 """The model at a parameter point as one object, and the layer exports."""
 
+import fnmatch
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,7 +13,7 @@ import pytest
 import chebdde
 
 from chebdde.discretize import charfn_eval, make_system
-from chebdde.model import blowflies
+from chebdde.model import blowflies, trilinear_form
 
 LAYERS = ["cheb_mesh", "model", "discretize", "analytic", "hopf", "simulate"]
 
@@ -31,12 +33,41 @@ def test_degree_operators_are_shared_and_read_only():
             arr[0] = 1.0
 
 
+def test_every_benchmark_target_exists():
+    # the benchmark wraps callables by name, and a named metric whose target
+    # is gone reads null in its result; tracer.py is loaded by path, read only
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_tracer", os.path.join(root, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = list(tracer.discover()[1])
+    patterns = [pat for _, pats, _ in tracer.NAMED.values() for pat in pats]
+    patterns += list(tracer.RESULT_COUNTERS)
+    patterns += [pat for pair in tracer.NESTED.values() for pats in pair for pat in pats]
+    unmatched = [pat for pat in patterns
+                 if not any(fnmatch.fnmatchcase(name, pat) for name in names)]
+    assert unmatched == []
+
+
 def test_rhs_compiles_on_first_use():
     ps = make_system(blowflies(), 4)
     assert "rhs_fn" not in vars(ps)
     charfn_eval(ps, 1j)
     assert "rhs_fn" not in vars(ps)  # analysis never compiles the rhs
     assert ps.rhs_fn is ps.rhs_fn
+
+
+def test_third_derivative_compiles_on_first_use():
+    model = blowflies(mu=4.0, beta=40.0)
+    ps = make_system(model, 4)
+    charfn_eval(ps, 1j)
+    # the equilibrium and the linearization need no third derivative
+    assert "_third" not in vars(model.derivs)
+    e1 = {(0, 1): 1.0}
+    trilinear_form(model, ps.equilibrium, e1, e1, e1)
+    assert model.derivs._third is model.derivs._third
+    assert model.with_params(beta=50.0).derivs._third is model.derivs._third
 
 
 # Runs each command in one fresh interpreter, in order, and prints after each
