@@ -162,11 +162,10 @@ def _at_alpha(cf, param: str, alpha: float):
     return cf
 
 
-def _critical_pair(cf, lam: complex, jet=None):
-    """Kernel vectors (p, q) with p[0] = 1 and q . D1 Delta p = 1; `jet` is
-    _jet(cf, lam) when the caller already has it."""
-    delta, dl, _ = _jet(cf, lam) if jet is None else jet
-    if cf.dim == 1:
+def _critical_pair(lam: complex, delta, dl):
+    """Kernel vectors (p, q) of Delta(lam) with p[0] = 1 and
+    q . D1 Delta p = 1, given Delta and D1 Delta at lam."""
+    if delta.shape[0] == 1:
         p = np.ones(1, dtype=complex)
         qt = np.ones(1, dtype=complex)
     else:
@@ -186,10 +185,9 @@ def _critical_pair(cf, lam: complex, jet=None):
     return p, qt / s
 
 
-def _transversality(cf, omega: float, param: str, pair, jet=None) -> float:
+def _transversality(pair, dalpha) -> float:
     p, q = pair
-    jet = _jet(cf, 1j * omega, (param,), slope=False) if jet is None else jet
-    return float((q @ (jet[2][0] @ p)).real)
+    return float((q @ (dalpha @ p)).real)
 
 
 def _lyapunov(cf, omega: float, pair) -> complex:
@@ -272,8 +270,7 @@ def hopf_point(cf, param: str, omega: float, alpha: float, k_max: int = 10,
     alpha = float(alpha)
     cur = _at_alpha(cf, param, alpha)
     lam = 1j * omega
-    jet = _jet(cur, lam, (param,))
-    delta, dl, _ = jet
+    delta, dl, _ = _jet(cur, lam)
     root_res = _smin(delta)
     if not root_res < RES_TOL * (1.0 + abs(omega)):
         raise NotARootError(
@@ -281,8 +278,8 @@ def hopf_point(cf, param: str, omega: float, alpha: float, k_max: int = 10,
             f"characteristic equation (residual {root_res:.2e})"
         )
     simplicity = _smin(dl)
-    pair = _critical_pair(cur, lam, jet)
-    sigma = _transversality(cur, omega, param, pair, jet)
+    pair = _critical_pair(lam, delta, dl)
+    sigma = _transversality(pair, _jet(cur, lam, (param,), slope=False)[2][0])
     c = _lyapunov(cur, omega, pair)
     a2 = c.real / sigma if sigma != 0.0 else math.nan
     verdict = _nonresonance_verdict(cur, omega, k_max)
@@ -353,8 +350,8 @@ def transversality(cf, hopf: HopfPoint) -> float:
     """Re(D1 Delta^{-1} D2 Delta) at the critical pair; for systems the
     normalized pairing Re(q . D2 Delta p) with q . D1 Delta p = 1."""
     cur = _at_alpha(cf, hopf.param, hopf.alpha)
-    pair = _critical_pair(cur, 1j * hopf.omega)
-    return _transversality(cur, hopf.omega, hopf.param, pair)
+    delta, dl, (dalpha,) = _jet(cur, 1j * hopf.omega, (hopf.param,))
+    return _transversality(_critical_pair(1j * hopf.omega, delta, dl), dalpha)
 
 
 def nonresonance(cf, hopf: HopfPoint, k_max: int = 10) -> ResonanceVerdict:
@@ -370,7 +367,8 @@ def lyapunov_c(system, hopf: HopfPoint) -> complex:
     """First Lyapunov coefficient from the three-term formula, for the delay
     equation or a collocation system."""
     cur = _at_alpha(system, hopf.param, hopf.alpha)
-    return _lyapunov(cur, hopf.omega, _critical_pair(cur, 1j * hopf.omega))
+    delta, dl, _ = _jet(cur, 1j * hopf.omega)
+    return _lyapunov(cur, hopf.omega, _critical_pair(1j * hopf.omega, delta, dl))
 
 
 def direction_a2(hopf: HopfPoint) -> float:
@@ -599,7 +597,18 @@ def convergence_study(model, param: str, fixed, n_list, omega_guess=None,
         try:
             h = locate(n)
         except ChebddeError as exc:
-            rows.append(StudyRow(n, *[math.nan] * 6, failure=exc.code))
+            rows.append(
+                StudyRow(
+                    n=n,
+                    alpha_err=math.nan,
+                    omega_err=math.nan,
+                    a2_err=math.nan,
+                    sigma=math.nan,
+                    simplicity=math.nan,
+                    nonres_margin=math.nan,
+                    failure=exc.code,
+                )
+            )
             continue
         margin = min(m for _, m in h.nonresonance.margins)
         rows.append(

@@ -18,6 +18,7 @@ from chebdde.errors import (
     ChebddeError,
     ContinuationError,
     ConvergenceError,
+    NotARootError,
     ResonanceError,
     SingularityError,
     UnknownSymbolError,
@@ -112,6 +113,9 @@ def test_hopf_point_rejects_nonroot():
     cf = make_system(blowflies(MU, 25.0))
     with pytest.raises(ValueError, match="does not solve"):
         hopf_point(cf, "beta", 2.4, 25.0)
+    # the root check comes before any parameter derivative is built
+    with pytest.raises(NotARootError):
+        hopf_point(cf, "nope", 2.4, 25.0)
 
 
 @pytest.mark.parametrize("n", [None, 10])
