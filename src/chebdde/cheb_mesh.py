@@ -126,9 +126,10 @@ def interpolate(mesh: Mesh, head, tail_values, theta: float):
     return out
 
 
-def lebesgue_constant(mesh: Mesh, grid_points: int = 2048) -> float:
-    """Grid maximum of sum_j |ell~_j(theta)| for the reduced basis on
-    {theta_1..theta_n}; a lower bound on the true Lebesgue constant."""
+def lebesgue_constant(mesh: Mesh) -> float:
+    """Maximum of sum_j |ell~_j(theta)| for the reduced basis on
+    {theta_1..theta_n} over a 2048-point grid; a lower bound on the true
+    Lebesgue constant."""
     if mesh.n == 1:
         return 1.0
     red = mesh.nodes[1:]
@@ -137,7 +138,7 @@ def lebesgue_constant(mesh: Mesh, grid_points: int = 2048) -> float:
     w = 1.0 / np.prod(4.0 * diff, axis=1)
     w /= np.max(np.abs(w))
 
-    grid = np.linspace(-1.0, 0.0, grid_points)
+    grid = np.linspace(-1.0, 0.0, 2048)
     best = 0.0
     for theta in grid:
         best = max(best, float(np.sum(np.abs(_bary_coeffs(red, w, theta)))))

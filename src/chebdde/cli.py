@@ -186,15 +186,15 @@ def _name_pair(text):
     return tuple(names)
 
 
+def _lyap_payload(point) -> dict:
+    return {key: getattr(point, key)
+            for key in ("param", "alpha", "omega", "c", "sigma", "a2")}
+
+
 def _hopf_payload(point) -> dict:
     verdict = point.nonresonance
     return {
-        "param": point.param,
-        "alpha": point.alpha,
-        "omega": point.omega,
-        "c": point.c,
-        "sigma": point.sigma,
-        "a2": point.a2,
+        **_lyap_payload(point),
         "simplicity_margin": point.simplicity_margin,
         "nonresonance": {
             "ok": verdict.ok,
@@ -245,15 +245,7 @@ def _cmd_hopf(args):
 
 def _cmd_lyap(args):
     point = _find_point(args, _load_model(args))
-    body = {
-        "param": point.param,
-        "alpha": point.alpha,
-        "omega": point.omega,
-        "c": point.c,
-        "sigma": point.sigma,
-        "a2": point.a2,
-    }
-    return [(_json(body), args.out)]
+    return [(_json(_lyap_payload(point)), args.out)]
 
 
 def _cmd_curve(args):

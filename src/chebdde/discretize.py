@@ -328,6 +328,10 @@ def _root_data(delta, dl, dalpha=()) -> tuple:
     return complex(np.linalg.det(delta)), traces
 
 
+def _smin(mat: np.ndarray) -> float:
+    return float(np.linalg.svd(mat, compute_uv=False)[-1])
+
+
 def kernel_vector(mat: np.ndarray) -> np.ndarray:
     """Unit-norm right null vector (smallest singular direction), with the
     largest-modulus entry made real positive for determinism."""
@@ -338,14 +342,13 @@ def kernel_vector(mat: np.ndarray) -> np.ndarray:
     return vec * (abs(pivot) / pivot)
 
 
-def eigvec_right(ps: PsSystem, lam: complex, p_star=None) -> np.ndarray:
-    """Eigenvector (p_star, p_star x_1, ..., p_star x_n) of A_n at lambda."""
+def eigvec_right(ps: PsSystem, lam: complex) -> np.ndarray:
+    """Eigenvector (p_star, p_star x_1, ..., p_star x_n) of A_n at lambda,
+    with p_star the kernel vector of Delta_n(lambda)."""
     _require_degree(ps, "eigvec_right")
     lam = complex(lam)
     delta = _jet(ps, lam, slope=False)[0]
-    if p_star is None:
-        p_star = np.ones(1) if ps.dim == 1 else kernel_vector(delta)
-    p_star = np.asarray(p_star, dtype=complex)
+    p_star = np.ones(1, dtype=complex) if ps.dim == 1 else kernel_vector(delta)
     res = np.linalg.norm(delta @ p_star)
     if res > 1e-8 * (1.0 + abs(lam)) * np.linalg.norm(p_star):
         raise ValueError(
@@ -357,8 +360,6 @@ def eigvec_right(ps: PsSystem, lam: complex, p_star=None) -> np.ndarray:
 
 def _adjugate(mat: np.ndarray) -> np.ndarray:
     d = mat.shape[0]
-    if d == 1:
-        return np.ones((1, 1), dtype=complex)
     if d == 2:
         return np.array(
             [[mat[1, 1], -mat[0, 1]], [-mat[1, 0], mat[0, 0]]], dtype=complex
@@ -407,8 +408,7 @@ def resolvent_apply(ps: PsSystem, lam: complex, zeta) -> np.ndarray:
     d, n = ps.dim, ps.n
     zeta = np.asarray_chkfinite(zeta, dtype=complex).reshape(n + 1, d)
     delta = _jet(ps, lam, slope=False)[0]
-    smin = np.linalg.svd(delta, compute_uv=False)[-1]
-    if smin < 1e-10 * (1.0 + abs(lam)):
+    if _smin(delta) < 1e-10 * (1.0 + abs(lam)):
         raise SingularityError(
             f"lambda={lam} is an eigenvalue: Delta_n is singular"
         )

@@ -8,7 +8,8 @@ Newton on the imaginary-axis root condition, transversality/simplicity/
 non-resonance diagnostics, the first Lyapunov coefficient by the three-term
 formula, the branch direction coefficient, pseudo-arclength continuation of
 the critical curve in two parameters, and degree-refinement studies. A
-Newton iterate builds the model once and reads Delta from one jet.
+Newton iterate builds the model once and reads Delta from one jet; a
+located point is diagnosed once, in hopf_point, into HopfPoint's fields.
 """
 
 import math
@@ -20,6 +21,7 @@ import numpy as np
 from .discretize import (
     _jet,
     _root_data,
+    _smin,
     _system,
     assemble_An,
     eigenvalues,
@@ -46,10 +48,6 @@ __all__ = [
     "StudyRow",
     "hopf_point",
     "find_hopf",
-    "transversality",
-    "nonresonance",
-    "lyapunov_c",
-    "direction_a2",
     "trace_hopf_curve",
     "convergence_study",
 ]
@@ -58,8 +56,9 @@ __all__ = [
 MAX_NEWTON = 50
 RES_TOL = 1e-12
 
-#: per-k non-resonance margin floor (scaled by 1 + k*omega)
+#: resonance scan: per-k margin floor (scaled by 1 + k*omega) and largest k
 NONRES_TOL = 1e-8
+K_MAX = 10
 
 #: corrector residual for curve tracing and its smallest admissible step
 CURVE_TOL = 1e-10
@@ -71,7 +70,7 @@ class ResonanceVerdict:
     """Outcome of the resonance scan at a critical pair +-i*omega.
 
     margins holds (k, smallest singular value of Delta(k i omega)) for
-    k in {0, 2, ..., k_max}; failures lists the k whose margin fell below
+    k in {0, 2, ..., K_MAX}; failures lists the k whose margin fell below
     the scaled floor. For discretized problems axis_clearance is the
     smallest |Re| over the non-critical eigenvalues of the collocation
     matrix and near_axis lists any of them within 1e-6 of the axis.
@@ -151,10 +150,6 @@ class StudyRow:
     failure: Optional[str] = None
 
 
-def _smin(mat: np.ndarray) -> float:
-    return float(np.linalg.svd(mat, compute_uv=False)[-1])
-
-
 def _at_alpha(cf, param: str, alpha: float):
     """Rebuild cf at the requested parameter value if it sits elsewhere."""
     if param in cf.model.params and float(cf.model.params[param]) != float(alpha):
@@ -185,13 +180,10 @@ def _critical_pair(lam: complex, delta, dl):
     return p, qt / s
 
 
-def _transversality(pair, dalpha) -> float:
-    p, q = pair
-    return float((q @ (dalpha @ p)).real)
-
-
-def _lyapunov(cf, omega: float, pair) -> complex:
-    """Three-term Lyapunov coefficient at the critical pair.
+def _lyapunov(cf, omega: float, pair) -> tuple:
+    """Three-term Lyapunov coefficient at the critical pair, with the
+    resonance margins (k, smallest singular value of Delta(k i omega)) of
+    the two solves it makes, k = 0 and 2.
 
     The quadratic corrections solve Delta(0) w0 = D2g(phi, conj phi) and
     Delta(2 i omega) w2 = D2g(phi, phi); the history fed back into the
@@ -205,8 +197,8 @@ def _lyapunov(cf, omega: float, pair) -> complex:
     phib = phi.conj()
     h11 = hess @ phib @ phi
     h20 = hess @ phi @ phi
-    w0 = _resonant_solve(cf, 0.0, h11, "transcritical coincidence, 0 is a root")
-    w2 = _resonant_solve(
+    w0, m0 = _resonant_solve(cf, 0.0, h11, "transcritical coincidence, 0 is a root")
+    w2, m2 = _resonant_solve(
         cf, 2j * omega, h20, "two-to-one resonance, 2 i omega is a root"
     )
     w0dir = np.tile(w0, len(model.delays))
@@ -214,26 +206,34 @@ def _lyapunov(cf, omega: float, pair) -> complex:
     terms = 0.5 * (third @ phib @ phi @ phi)
     terms = terms + hess @ phi @ w0dir
     terms = terms + 0.5 * (hess @ phib @ w2dir)
-    return complex(q @ terms)
+    return complex(q @ terms), ((0, m0), (2, m2))
 
 
-def _resonant_solve(cf, lam: complex, rhs_vec: np.ndarray, what: str) -> np.ndarray:
+def _resonant_solve(cf, lam: complex, rhs_vec: np.ndarray, what: str) -> tuple:
     delta = _jet(cf, lam, slope=False)[0]
-    if _smin(delta) < 1e-10 * (1.0 + abs(lam)):
+    margin = _smin(delta)
+    if margin < 1e-10 * (1.0 + abs(lam)):
         raise ResonanceError(f"Delta({lam}) is singular: {what}")
-    return np.linalg.solve(delta, np.asarray(rhs_vec, dtype=complex))
+    return np.linalg.solve(delta, np.asarray(rhs_vec, dtype=complex)), margin
 
 
-def _nonresonance_verdict(cf, omega: float, k_max: int) -> ResonanceVerdict:
+def _nonresonance_verdict(cf, omega: float, known=()) -> ResonanceVerdict:
+    """Scan the margins of Delta at k*i*omega for k in {0, 2, ..., K_MAX},
+    taking the (k, margin) pairs in known as already computed; for
+    discretized problems additionally sweep the collocation spectrum for any
+    non-critical eigenvalue within 1e-6 of the imaginary axis."""
+    known = dict(known)
     margins = []
     failures = []
-    for k in (0, *range(2, k_max + 1)):
-        try:
-            margin = _smin(_jet(cf, 1j * (k * omega), slope=False)[0])
-        except ConditioningError:
-            # k*i*omega fell onto a spurious pole of the lag solve; the
-            # margin there is not trustworthy, so report the k as failed
-            margin = math.nan
+    for k in (0, *range(2, K_MAX + 1)):
+        margin = known.get(k)
+        if margin is None:
+            try:
+                margin = _smin(_jet(cf, 1j * (k * omega), slope=False)[0])
+            except ConditioningError:
+                # k*i*omega fell onto a spurious pole of the lag solve; the
+                # margin there is not trustworthy, so report the k as failed
+                margin = math.nan
         margins.append((k, margin))
         if not margin > NONRES_TOL * (1.0 + k * omega):
             failures.append(k)
@@ -259,12 +259,14 @@ def _nonresonance_verdict(cf, omega: float, k_max: int) -> ResonanceVerdict:
     )
 
 
-def hopf_point(cf, param: str, omega: float, alpha: float, k_max: int = 10,
+def hopf_point(cf, param: str, omega: float, alpha: float,
                residuals=()) -> HopfPoint:
     """Assemble a fully diagnosed HopfPoint at an already-located root.
 
     Validates that i*omega solves the characteristic equation at alpha
-    before computing any diagnostics.
+    before computing any diagnostics, each of which is computed once here:
+    the Lyapunov solves at 0 and 2 i omega also give the resonance scan its
+    k = 0 and 2 margins.
     """
     omega = float(omega)
     alpha = float(alpha)
@@ -278,11 +280,12 @@ def hopf_point(cf, param: str, omega: float, alpha: float, k_max: int = 10,
             f"characteristic equation (residual {root_res:.2e})"
         )
     simplicity = _smin(dl)
-    pair = _critical_pair(lam, delta, dl)
-    sigma = _transversality(pair, _jet(cur, lam, (param,), slope=False)[2][0])
-    c = _lyapunov(cur, omega, pair)
+    p, q = _critical_pair(lam, delta, dl)
+    dalpha = _jet(cur, lam, (param,), slope=False)[2][0]
+    sigma = float((q @ (dalpha @ p)).real)
+    c, known = _lyapunov(cur, omega, (p, q))
     a2 = c.real / sigma if sigma != 0.0 else math.nan
-    verdict = _nonresonance_verdict(cur, omega, k_max)
+    verdict = _nonresonance_verdict(cur, omega, known)
     return HopfPoint(
         param=param,
         alpha=alpha,
@@ -296,8 +299,7 @@ def hopf_point(cf, param: str, omega: float, alpha: float, k_max: int = 10,
     )
 
 
-def find_hopf(cf, param: str, omega_guess: float, alpha_guess: float,
-              k_max: int = 10) -> HopfPoint:
+def find_hopf(cf, param: str, omega_guess: float, alpha_guess: float) -> HopfPoint:
     """Newton iteration for a root of the characteristic function on the
     imaginary axis, moving (omega, alpha) jointly.
 
@@ -343,41 +345,7 @@ def find_hopf(cf, param: str, omega_guess: float, alpha_guess: float,
             f"no critical point within {MAX_NEWTON} iterations "
             f"(residual {residuals[-1]:.2e})"
         )
-    return hopf_point(cur, param, omega, alpha, k_max, tuple(residuals))
-
-
-def transversality(cf, hopf: HopfPoint) -> float:
-    """Re(D1 Delta^{-1} D2 Delta) at the critical pair; for systems the
-    normalized pairing Re(q . D2 Delta p) with q . D1 Delta p = 1."""
-    cur = _at_alpha(cf, hopf.param, hopf.alpha)
-    delta, dl, (dalpha,) = _jet(cur, 1j * hopf.omega, (hopf.param,))
-    return _transversality(_critical_pair(1j * hopf.omega, delta, dl), dalpha)
-
-
-def nonresonance(cf, hopf: HopfPoint, k_max: int = 10) -> ResonanceVerdict:
-    """Scan the margins of Delta at k*i*omega for k in {0, 2, ..., k_max};
-    for discretized problems additionally sweep the collocation spectrum
-    for any non-critical eigenvalue within 1e-6 of the imaginary axis."""
-    return _nonresonance_verdict(
-        _at_alpha(cf, hopf.param, hopf.alpha), hopf.omega, k_max
-    )
-
-
-def lyapunov_c(system, hopf: HopfPoint) -> complex:
-    """First Lyapunov coefficient from the three-term formula, for the delay
-    equation or a collocation system."""
-    cur = _at_alpha(system, hopf.param, hopf.alpha)
-    delta, dl, _ = _jet(cur, 1j * hopf.omega)
-    return _lyapunov(cur, hopf.omega, _critical_pair(1j * hopf.omega, delta, dl))
-
-
-def direction_a2(hopf: HopfPoint) -> float:
-    """Branch direction coefficient Re(c)/sigma."""
-    if hopf.sigma == 0.0:
-        raise SingularityError(
-            "transversality value is zero: the branch direction is undefined"
-        )
-    return hopf.c.real / hopf.sigma
+    return hopf_point(cur, param, omega, alpha, tuple(residuals))
 
 
 def _null3(jac: np.ndarray) -> np.ndarray:
@@ -551,7 +519,7 @@ def _seed_omega(model, n: int) -> float:
 
 
 def convergence_study(model, param: str, fixed, n_list, omega_guess=None,
-                      alpha_guess=None, reference=None, k_max: int = 10):
+                      alpha_guess=None, reference=None):
     """Locate the critical point at every degree in n_list and tabulate the
     errors against a reference, plus the bounded-away-from-zero diagnostics.
 
@@ -579,7 +547,7 @@ def convergence_study(model, param: str, fixed, n_list, omega_guess=None,
     def locate(n):
         if n not in points:
             points[n] = find_hopf(make_system(base, n), param, omega_guess,
-                                  alpha_guess, k_max)
+                                  alpha_guess)
         return points[n]
 
     ref = None

@@ -23,17 +23,14 @@ from chebdde.errors import (
     SingularityError,
     UnknownSymbolError,
 )
+from chebdde import hopf
 from chebdde.hopf import (
-    HopfPoint,
-    ResonanceVerdict,
+    K_MAX,
+    _nonresonance_verdict,
     convergence_study,
-    direction_a2,
     find_hopf,
     hopf_point,
-    lyapunov_c,
-    nonresonance,
     trace_hopf_curve,
-    transversality,
 )
 from chebdde.model import blowflies, fluidflow, make_model
 
@@ -139,24 +136,6 @@ def test_sigma_and_a2_match_closed_forms():
     assert abs(h.c - c0_blowfly(h.omega)) < 1e-12
 
 
-def test_diagnostic_wrappers_match_point_fields():
-    # the wrappers re-solve the equilibrium from the model hint, so they
-    # agree with the stored fields to roundoff, not bitwise
-    cf = make_system(blowflies(MU, 25.0))
-    h = find_hopf(cf, "beta", 2.4, 25.0)
-    assert abs(transversality(cf, h) - h.sigma) < 1e-13
-    verdict = nonresonance(cf, h)
-    assert verdict.ok == h.nonresonance.ok
-    assert verdict.failures == h.nonresonance.failures
-    assert np.allclose(
-        [m for _, m in verdict.margins],
-        [m for _, m in h.nonresonance.margins],
-        rtol=1e-12, atol=0,
-    )
-    assert abs(lyapunov_c(cf, h) - h.c) < 1e-12
-    assert direction_a2(h) == h.a2
-
-
 def test_transversality_n2_crossing_speed():
     # the printed n=2 crossing-speed formula carries the opposite
     # orientation to d/d b2, so sigma equals +Re lambda' here
@@ -178,12 +157,9 @@ def test_transversality_zero_for_silent_parameter():
     h = hopf_point(cf, "a", w, 0.4)
     assert h.sigma == 0.0
     assert math.isnan(h.a2)
-    assert transversality(cf, h) == 0.0
     # off the root the Newton matrix has a zero parameter column
     with pytest.raises(SingularityError):
         find_hopf(cf, "a", w + 0.1, 0.5)
-    with pytest.raises(SingularityError):
-        direction_a2(h)
 
 
 def test_lyapunov_matches_boundary_closed_forms():
@@ -192,14 +168,12 @@ def test_lyapunov_matches_boundary_closed_forms():
     cf0 = make_system(m0)
     h0 = hopf_point(cf0, "beta", w, m0.params["beta"])
     assert abs(h0.c - c0_blowfly(w)) < 1e-12
-    assert abs(lyapunov_c(cf0, h0) - c0_blowfly(w)) < 1e-12
 
     mu5, beta5 = to_mu_beta(*ps_boundary(5, w))
     m5 = blowflies(mu5, beta5)
     cf5 = make_system(m5, 5)
     h5 = hopf_point(cf5, "beta", w, beta5)
-    assert abs(lyapunov_c(cf5, h5) - cn_blowfly(5, w)) < 1e-10
-    assert abs(lyapunov_c(make_system(m5, 5), h5) - cn_blowfly(5, w)) < 1e-10
+    assert abs(h5.c - cn_blowfly(5, w)) < 1e-10
 
 
 def test_lyapunov_odd_nonlinearity():
@@ -222,7 +196,6 @@ def test_lyapunov_linear_model_degenerate():
     h = hopf_point(make_system(linear_model(b1, b2)), "b2", w, b2)
     assert h.c == 0.0
     assert h.a2 == 0.0
-    assert direction_a2(h) == 0.0
 
 
 def twoloop_critical():
@@ -345,18 +318,37 @@ def test_nonresonance_interior_pass():
 def test_nonresonance_corner_double_root():
     # at (b1, b2) = (1, -1) zero is a double characteristic root, so the
     # k = 0 margin collapses while k = 2 stays clear
+    # omega = 1e-3 is not a root, so the scan runs on its own
     cf = make_system(linear_model(1.0, -1.0))
-    h = HopfPoint(
-        param="b2", alpha=-1.0, omega=1e-3, c=0.0, sigma=1.0, a2=0.0,
-        simplicity_margin=1.0,
-        nonresonance=ResonanceVerdict(True, (), ()),
-    )
-    verdict = nonresonance(cf, h)
+    verdict = _nonresonance_verdict(cf, 1e-3)
     assert not verdict.ok
     assert verdict.failures == (0,)
     margins = dict(verdict.margins)
     assert margins[0] < 1e-12
     assert margins[2] > 1e-8 * (1 + 2e-3)
+
+
+@pytest.mark.parametrize("n", [None, 10], ids=["exact", "n10"])
+def test_hopf_point_assembles_delta_once_per_resonance_shift(n, monkeypatch):
+    # the Lyapunov solves at 0 and 2 i omega hand their margins to the
+    # resonance scan, which assembles Delta only at k = 3..K_MAX
+    h = find_hopf(make_system(blowflies(MU, 25.0), n), "beta", 2.4, 25.0)
+    cf = make_system(blowflies(MU, h.alpha), n)
+    shifts = []
+
+    def counting_jet(ps, lam, *args, **kwargs):
+        shifts.append(complex(lam))
+        return jet(ps, lam, *args, **kwargs)
+
+    jet = hopf._jet
+    monkeypatch.setattr(hopf, "_jet", counting_jet)
+    got = hopf_point(cf, "beta", h.omega, h.alpha)
+    # the rebuilt equilibrium agrees with find_hopf's to roundoff
+    assert [k for k, _ in got.nonresonance.margins] == [0, *range(2, K_MAX + 1)]
+    assert np.allclose([m for _, m in got.nonresonance.margins],
+                       [m for _, m in h.nonresonance.margins], rtol=1e-12, atol=0)
+    for k in (0, *range(2, K_MAX + 1)):
+        assert shifts.count(1j * (k * h.omega)) == 1, k
 
 
 def test_nonresonance_n2_scan_covers_all_three_eigenvalues():
