@@ -19,13 +19,16 @@ on both sides and a resolvent that never forms (lambda I - A_n) follow too.
 
 Lag solves call LAPACK directly, bound on the first degree-n solve: importing
 scipy.linalg is most of the CLI's start-up time and memory, and time stepping,
-spectra and the delay equation itself never solve with D.
+spectra and the delay equation itself never solve with D. For a scalar model
+Delta is 1 x 1, and its smallest singular value is computed in the closed
+form LAPACK's SVD reduces to, so it is the same number without the call.
 
 State layout is (y_0, y_1, ..., y_n) blocked by node, each block of size d.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 from typing import Callable, Optional
@@ -266,14 +269,21 @@ def _combine(out: np.ndarray, mats, vals) -> np.ndarray:
 
 def _jet(ps: PsSystem, lam: complex, params=(), slope: bool = True) -> tuple:
     """Delta(lambda), its lambda-derivative (None unless slope) and its
-    derivatives in the named parameters (analytic, or at a fold a central
-    difference), as d x d arrays: the one place Delta is assembled, from one
-    lag_values(lambda) and one lag_values(lambda, 1)."""
+    derivatives in the named parameters (see _dalpha), as d x d arrays: the
+    one place Delta is assembled, from one lag_values(lambda) and one
+    lag_values(lambda, 1)."""
     lam = complex(lam)
     mats, vals = ps.linear.mats, ps.lag_values(lam)
     delta = _combine(lam * _identity(ps.dim, complex), mats, vals)
     dl = (_combine(_identity(ps.dim, complex).copy(), mats, ps.lag_values(lam, 1))
           if slope else None)
+    return delta, dl, _dalpha(ps, lam, vals, params)
+
+
+def _dalpha(ps: PsSystem, lam: complex, vals, params) -> list:
+    """Delta's derivatives at lambda in the named parameters, given the lag
+    values there: analytic, or at a fold a central difference of Delta
+    rebuilt on either side."""
     derivs = ps.linear.param_derivs or {}
     dalpha = []
     for name in params:
@@ -288,7 +298,7 @@ def _jet(ps: PsSystem, lam: complex, params=(), slope: bool = True) -> tuple:
         hi = _jet(ps.with_param(name, alpha + h), lam, slope=False)[0]
         lo = _jet(ps.with_param(name, alpha - h), lam, slope=False)[0]
         dalpha.append((hi - lo) / (2.0 * h))
-    return delta, dl, dalpha
+    return dalpha
 
 
 def charfn_eval(ps: PsSystem, lam: complex):
@@ -329,6 +339,23 @@ def _root_data(delta, dl, dalpha=()) -> tuple:
 
 
 def _smin(mat: np.ndarray) -> float:
+    """Smallest singular value, as np.linalg.svd gives it, bit for bit.
+
+    For a 1 x 1 block LAPACK's gesdd reduces z to the real Householder
+    beta, dlapy3(|Re z|, |Im z|, 0) = w sqrt((x/w)^2 + (y/w)^2) with
+    w = max(x, y), so that form is computed directly; outside
+    [1e-130, 1e130] gesdd first rescales the matrix, so there, and for
+    non-finite z, the SVD itself runs.
+    """
+    if mat.shape == (1, 1):
+        z = complex(mat[0, 0])
+        x, y = abs(z.real), abs(z.imag)
+        if x + y == 0.0:
+            return 0.0
+        w = max(x, y)
+        if 1e-130 <= w <= 1e130 and math.isfinite(x + y):
+            x, y = x / w, y / w
+            return w * math.sqrt(x * x + y * y)
     return float(np.linalg.svd(mat, compute_uv=False)[-1])
 
 

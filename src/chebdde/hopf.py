@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .discretize import (
+    _dalpha,
     _jet,
     _root_data,
     _smin,
@@ -281,7 +282,7 @@ def hopf_point(cf, param: str, omega: float, alpha: float,
         )
     simplicity = _smin(dl)
     p, q = _critical_pair(lam, delta, dl)
-    dalpha = _jet(cur, lam, (param,), slope=False)[2][0]
+    dalpha = _dalpha(cur, lam, cur.lag_values(lam), (param,))[0]
     sigma = float((q @ (dalpha @ p)).real)
     c, known = _lyapunov(cur, omega, (p, q))
     a2 = c.real / sigma if sigma != 0.0 else math.nan
@@ -303,9 +304,10 @@ def find_hopf(cf, param: str, omega_guess: float, alpha_guess: float) -> HopfPoi
     """Newton iteration for a root of the characteristic function on the
     imaginary axis, moving (omega, alpha) jointly.
 
-    The residual is the smallest singular value of Delta(i omega) (the
-    modulus itself for scalar problems); the step solves the analytic 2x2
-    Jacobian of (Re f, Im f) in (omega, alpha) with f the determinant.
+    The residual is the smallest singular value of Delta(i omega), for
+    scalar problems LAPACK's value of the modulus (which may differ from
+    abs() in the last bit); the step solves the analytic 2x2 Jacobian of
+    (Re f, Im f) in (omega, alpha) with f the determinant.
     """
     omega = float(omega_guess)
     alpha = float(alpha_guess)

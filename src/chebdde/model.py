@@ -6,7 +6,10 @@ trees, and a real parameter map. Equilibria, linearizations and the Hopf
 normal form's second- and third-order forms come from symbolic derivatives
 of the expression trees, compiled once per model (the third on first use),
 so they are exact derivatives, not difference quotients, and the equilibrium
-Newton's last Jacobian is the linearization.
+Newton's last Jacobian is the linearization. For a scalar model the Newton
+step and the equilibrium drift divide by the 1 x 1 collapsed Jacobian with
+the operations LAPACK's solve makes, so they are the same numbers without
+its call.
 """
 
 from __future__ import annotations
@@ -310,6 +313,28 @@ def collapsed_rhs(model: DdeModel, x) -> np.ndarray:
     return model.derivs.first(x, model.params)[0]
 
 
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b), bit for bit, without its call for a 1 x 1 a.
+
+    After a 1 x 1 LU, OpenBLAS's getrs divides one right-hand side by the
+    pivot (trsv) but multiplies several by its reciprocal, which trsm packs;
+    a zero pivot raises LinAlgError, as getrf reports it. The arithmetic is
+    on Python floats, which round alike and, like LAPACK, never warn.
+    """
+    if a.shape != (1, 1):
+        return np.linalg.solve(a, b)
+    pivot = float(a[0, 0])
+    if pivot == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    rhs = b.ravel().tolist()
+    if len(rhs) == 1:
+        out = [rhs[0] / pivot]
+    else:
+        recip = 1.0 / pivot
+        out = [v * recip for v in rhs]
+    return np.array(out).reshape(b.shape)
+
+
 def _newton(model: DdeModel, guess) -> tuple:
     """The equilibrium Newton loop: (xbar, df/dv at xbar, steps taken)."""
     if guess is None:
@@ -323,7 +348,7 @@ def _newton(model: DdeModel, guess) -> tuple:
             return x, grad, steps
         try:
             # the collapsed Jacobian: every lag of a component moves alike
-            step = np.linalg.solve(grad.sum(axis=1), f)
+            step = _solve(grad.sum(axis=1), f)
         except np.linalg.LinAlgError:
             raise ConvergenceError(
                 "singular collapsed Jacobian during equilibrium Newton"
@@ -384,7 +409,7 @@ def _param_jacobians(model: DdeModel, xbar, grad) -> dict:
         return {}
     d, n_lags = model.dim, len(model.delays)
     f_alpha, hess, mixed = model.derivs.second(xbar, model.params)
-    drift = -np.linalg.solve(grad.sum(axis=1), f_alpha)
+    drift = -_solve(grad.sum(axis=1), f_alpha)
     # the drift moves every lag of a component alike
     hess_collapsed = hess.reshape(d, -1, n_lags, d).sum(axis=2)
     total = (mixed + hess_collapsed @ drift).reshape(d, n_lags, d, -1)

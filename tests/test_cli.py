@@ -271,6 +271,42 @@ def test_chart_blowfly_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert results[0] == results[1]
 
 
+#: exact-path Hopf points and 41-point curves of both built-in models; the
+#: degree-n curve is left out, since scipy's zgetrs in the lag solve gives
+#: thread-dependent last digits there
+EXACT_HOPF_ARGVS = [
+    ["hopf", "--model", "blowflies", "--set", "mu=4", "--param", "beta",
+     "--omega", "2.4", "--alpha", "35", "--analytic"],
+    ["hopf", "--model", "fluidflow", "--param", "k", "--omega", "1.2", "--alpha", "1",
+     "--analytic"],
+    ["curve", "--model", "blowflies", "--params", "mu,beta", "--seed-param", "beta",
+     "--set", "mu=4", "--omega", "2.4", "--alpha", "35", "--step", "0.25",
+     "--max-points", "41", "--analytic"],
+    ["curve", "--model", "fluidflow", "--params", "k,c", "--seed-param", "k",
+     "--omega", "1.2", "--alpha", "1", "--step", "0.1", "--max-points", "41", "--analytic"],
+]
+
+
+def test_exact_hopf_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # each argv in turn, in one fresh process per BLAS thread count; the
+    # runner prints each exit code, so a failure shows in the bytes as well
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    runner = ("import json, sys\nfrom chebdde.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n    print(main(argv))\n")
+    results = []
+    for threads in ("1", "2"):
+        outs = [tmp_path / f"{threads}-{i}.out" for i in range(len(EXACT_HOPF_ARGVS))]
+        argvs = [argv + ["--out", str(out)] for argv, out in zip(EXACT_HOPF_ARGVS, outs)]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", runner, json.dumps(argvs)],
+                              env=env, capture_output=True, check=True)
+        results.append((done.stdout, done.stderr, [out.read_bytes() for out in outs]))
+    assert results[0][0] == b"0\n" * len(EXACT_HOPF_ARGVS)
+    assert results[0][2][3].count(b"\n") == 42
+    assert results[0] == results[1]
+
+
 def test_chart_blowfly_refuses_a_reversed_window(capsys):
     # a reversed window would keep omega = 3.14100, inside the margin around pi
     for lo, hi in (("3.3", "3.0"), ("3.0", "3.0")):

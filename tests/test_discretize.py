@@ -11,6 +11,7 @@ from scipy.linalg.lapack import zgecon
 from chebdde.cheb_mesh import interpolate
 from chebdde.discretize import (
     _jet,
+    _smin,
     assemble_An,
     charfn_dalpha,
     charfn_det,
@@ -578,3 +579,49 @@ def test_lapack_solves_match_scipy_wrappers(n, two_dim, lam, seed):
         resolvent_apply(fresh, at_d, zeta.reshape(-1))
     with pytest.raises(ConditioningError):
         fresh.lag_solve(at_d)
+
+
+def _outcome(fn, *args):
+    """The bits of fn's result, or the class and message of what it raised."""
+    try:
+        return np.asarray(fn(*args), dtype=float).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _svd_min(mat):
+    return np.linalg.svd(mat, compute_uv=False)[-1]
+
+
+#: zeros, subnormals, the ends of the closed form's range, overflow and NaN
+SCALAR_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                1e-131, 1e-130, 1.5, 1e130, 1e131, -1e300, math.inf, -math.inf,
+                math.nan]
+
+#: below and above the closed form's range gesdd rescales z first, which
+#: moves the last bit of these two away from the closed form
+RESCALED = [complex(6.647279586645176e-143, 1.2252826540812514e-151),
+            complex(1.2823829775261583e+142, 1.3697822952800833e+137)]
+
+#: magnitudes across the closed form's range [1e-130, 1e130] and past it
+scaled_floats = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0),
+                          st.integers(-140, 140))
+
+
+def test_smin_of_a_scalar_edge_is_lapacks_value():
+    for z in RESCALED:
+        assert _outcome(_smin, np.array([[z]])) == _outcome(_svd_min, np.array([[z]]))
+    for re in SCALAR_EDGES:
+        assert _outcome(_smin, np.array([[re]])) == _outcome(_svd_min, np.array([[re]]))
+        for im in SCALAR_EDGES:
+            mat = np.array([[complex(re, im)]])
+            assert _outcome(_smin, mat) == _outcome(_svd_min, mat), (re, im)
+
+
+@settings(max_examples=400)
+@given(re=st.one_of(st.floats(), scaled_floats),
+       im=st.one_of(st.floats(), scaled_floats), real=st.booleans())
+def test_smin_of_a_scalar_is_lapacks_value(re, im, real):
+    # bit for bit, so the printed margins and residuals do not move
+    mat = np.array([[re]]) if real else np.array([[complex(re, im)]])
+    assert _outcome(_smin, mat) == _outcome(_svd_min, mat)

@@ -330,8 +330,10 @@ def test_nonresonance_corner_double_root():
 
 @pytest.mark.parametrize("n", [None, 10], ids=["exact", "n10"])
 def test_hopf_point_assembles_delta_once_per_resonance_shift(n, monkeypatch):
-    # the Lyapunov solves at 0 and 2 i omega hand their margins to the
-    # resonance scan, which assembles Delta only at k = 3..K_MAX
+    # one jet at i omega serves the root check, the simplicity margin and,
+    # from its lag values, sigma's parameter derivative; the Lyapunov solves
+    # at 0 and 2 i omega hand their margins to the resonance scan, which
+    # assembles Delta only at k = 3..K_MAX
     h = find_hopf(make_system(blowflies(MU, 25.0), n), "beta", 2.4, 25.0)
     cf = make_system(blowflies(MU, h.alpha), n)
     shifts = []
@@ -347,8 +349,32 @@ def test_hopf_point_assembles_delta_once_per_resonance_shift(n, monkeypatch):
     assert [k for k, _ in got.nonresonance.margins] == [0, *range(2, K_MAX + 1)]
     assert np.allclose([m for _, m in got.nonresonance.margins],
                        [m for _, m in h.nonresonance.margins], rtol=1e-12, atol=0)
-    for k in (0, *range(2, K_MAX + 1)):
+    for k in range(K_MAX + 1):
         assert shifts.count(1j * (k * h.omega)) == 1, k
+
+
+def test_scalar_hopf_paths_skip_linalg_on_real_and_1x1_blocks(monkeypatch):
+    # d = 1: the smallest singular value of Delta and the equilibrium's
+    # Newton steps and drift are closed forms; only the complex 1 x 1 solves
+    # of the Lyapunov coefficient still call LAPACK
+    svd, solve = np.linalg.svd, np.linalg.solve
+
+    def guarded_svd(a, *args, **kwargs):
+        assert np.shape(a)[-2:] != (1, 1), "svd of a 1 x 1 block"
+        return svd(a, *args, **kwargs)
+
+    def guarded_solve(a, b):
+        assert np.shape(a) != (1, 1) or np.iscomplexobj(a), "real 1 x 1 solve"
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "svd", guarded_svd)
+    monkeypatch.setattr(np.linalg, "solve", guarded_solve)
+    model = blowflies(MU, 25.0)
+    h = find_hopf(make_system(model), "beta", 2.4, 25.0)
+    assert h.nonresonance.ok
+    h10 = find_hopf(make_system(model, 10), "beta", 2.4, 25.0)
+    curve = trace_hopf_curve(model, ("mu", "beta"), h10, 0.25, max_points=7, n=10)
+    assert curve.points.shape == (7, 3)
 
 
 def test_nonresonance_n2_scan_covers_all_three_eigenvalues():

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebdde.errors import ConvergenceError, UnknownSymbolError
 from chebdde.model import (
+    _solve,
     bilinear_form,
     blowflies,
     equilibrium_solve,
@@ -65,7 +68,7 @@ def test_equilibrium_no_root():
 
 def test_equilibrium_singular_jacobian():
     model = make_model(1, (0.0,), ("x0@0^2 + 1",))
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="singular collapsed Jacobian"):
         equilibrium_solve(model, guess=[0.0])
 
 
@@ -190,3 +193,45 @@ def test_bilinear_complex_directions():
     d2 = lin.mats[0][0, 0] - lin.mats[1][0, 0]
     want = d2 * (0.3 - 0.9j) * (0.3 + 0.9j)
     assert abs(val - want) < 1e-11 * (1.0 + abs(want))
+
+
+def _outcome(fn, *args):
+    """The shape and bits of fn's result, or the class and message of what
+    it raised."""
+    try:
+        out = fn(*args)
+        return out.shape, out.dtype, out.tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+#: magnitudes across many decades, where division and reciprocal differ
+scaled_floats = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0),
+                          st.integers(-300, 300))
+scalars = st.one_of(st.floats(), scaled_floats)
+
+
+@settings(max_examples=300)
+@given(pivot=scalars, rhs=scalars)
+def test_scalar_solve_with_one_rhs_is_lapacks(pivot, rhs):
+    # the Newton step's shape: one right-hand side
+    for b in (np.array([rhs]), np.array([[rhs]])):
+        assert _outcome(_solve, np.array([[pivot]]), b) == _outcome(
+            np.linalg.solve, np.array([[pivot]]), b)
+
+
+@settings(max_examples=300)
+@given(pivot=scalars, rhs=st.lists(scalars, min_size=2, max_size=5))
+def test_scalar_solve_with_many_rhs_is_lapacks(pivot, rhs):
+    # the equilibrium drift's shape: one right-hand side per parameter
+    b = np.array([rhs])
+    assert _outcome(_solve, np.array([[pivot]]), b) == _outcome(
+        np.linalg.solve, np.array([[pivot]]), b)
+
+
+@pytest.mark.parametrize("pivot", [0.0, -0.0])
+def test_scalar_solve_refuses_a_zero_pivot_as_lapack_does(pivot):
+    for b in (np.array([1.0]), np.array([[1.0, 2.0]])):
+        want = _outcome(np.linalg.solve, np.array([[pivot]]), b)
+        assert want[0] is np.linalg.LinAlgError
+        assert _outcome(_solve, np.array([[pivot]]), b) == want
