@@ -1,19 +1,25 @@
 """Time integration of the collocation ODE and attractor-period measurement.
 
-The integrator is a hand-rolled Dormand-Prince 5(4) pair with the first-same-
-as-last optimization; it is explicit, so the mesh degree sets the admissible
-step through the spectrum of the differentiation blocks. It runs on the
-degree-n system make_system(model, n), the same object the characteristic
-function is evaluated on (make_system(model) is the delay equation itself,
-which has no state vector to step, and is refused). Each stage evaluates
-the vector field as one product with the state operator shared by every
-system of that degree (lag rows over the differentiation rows) plus one
-call of the model right-hand side, compiled on first use. The first stage
-is the one-shot discretize.rhs; the later ones are formed in place in
-preallocated memory with the same floating-point operations, so the
-trajectory is bit for bit the one an rhs call per stage gives. Periods are
-measured from upward crossings of the post-transient mean level, which is
-robust to the asymmetric spike shapes these models produce.
+The integrator is a hand-rolled Dormand-Prince 8(5,3) pair: twelve stages,
+an 8th-order solution and a blend of 5th- and 3rd-order error estimates
+(Hairer, Norsett & Wanner, Solving ODEs I, II.10). The derivative at an
+accepted point is the first stage of the next step, so a step costs eleven
+evaluations and an accepted one a twelfth. It is explicit, so the mesh
+degree sets the admissible step through the spectrum of the
+differentiation blocks. It runs on the degree-n system make_system(model,
+n), the same object the characteristic function is evaluated on
+(make_system(model) is the delay equation itself, which has no state
+vector to step, and is refused). Each stage evaluates the vector field as
+one product with the state operator shared by every system of that degree
+(lag rows over the differentiation rows) plus one call of the model
+right-hand side, compiled on first use. The first stage is the one-shot
+discretize.rhs; the later ones are formed in place in preallocated memory
+with the same floating-point operations, so the trajectory is bit for bit
+the one an rhs call per stage gives. Periods are measured from upward
+crossings of the post-transient mean level, which is robust to the
+asymmetric spike shapes these models produce; crossings and hump peaks
+are refined by parabolas through neighbouring samples, so the cycle
+classification does not depend on how densely the steps sample it.
 """
 
 import math
@@ -41,25 +47,88 @@ __all__ = [
     "bracket_period_doubling",
 ]
 
-# Dormand-Prince 5(4) tableau, row i holding the stage-i coefficients; row 6
-# equals the 5th-order weights, so the last stage of an accepted step is the
-# first stage of the next one
-_A = np.array(
+# Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
+# II.10): _A[i] holds the coefficients of stages 0..i-1 in stage i, _B the
+# 8th-order weights, and _E5 and _E3 the 5th- and 3rd-order error weights.
+# The 13th stage, f at the new point, has zero error weight, so it is
+# evaluated only after a step is accepted and becomes the next first stage.
+_A = tuple(
+    np.array(row)
+    for row in (
+        (),
+        (5.26001519587677318785587544488e-2,),
+        (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+        (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+        (
+            2.41365134159266685502369798665e-1, 0.0,
+            -8.84549479328286085344864962717e-1, 9.24834003261792003115737966543e-1,
+        ),
+        (
+            3.7037037037037037037037037037e-2, 0.0, 0.0,
+            1.70828608729473871279604482173e-1, 1.25467687566822425016691814123e-1,
+        ),
+        (
+            3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+            6.02165389804559606850219397283e-2, -1.7578125e-2,
+        ),
+        (
+            3.70920001185047927108779319836e-2, 0.0, 0.0,
+            1.70383925712239993810214054705e-1, 1.07262030446373284651809199168e-1,
+            -1.53194377486244017527936158236e-2, 8.27378916381402288758473766002e-3,
+        ),
+        (
+            6.24110958716075717114429577812e-1, 0.0, 0.0,
+            -3.36089262944694129406857109825, -8.68219346841726006818189891453e-1,
+            2.75920996994467083049415600797e1, 2.01540675504778934086186788979e1,
+            -4.34898841810699588477366255144e1,
+        ),
+        (
+            4.77662536438264365890433908527e-1, 0.0, 0.0,
+            -2.48811461997166764192642586468, -5.90290826836842996371446475743e-1,
+            2.12300514481811942347288949897e1, 1.52792336328824235832596922938e1,
+            -3.32882109689848629194453265587e1, -2.03312017085086261358222928593e-2,
+        ),
+        (
+            -9.3714243008598732571704021658e-1, 0.0, 0.0,
+            5.18637242884406370830023853209, 1.09143734899672957818500254654,
+            -8.14978701074692612513997267357, -1.85200656599969598641566180701e1,
+            2.27394870993505042818970056734e1, 2.49360555267965238987089396762,
+            -3.0467644718982195003823669022,
+        ),
+        (
+            2.27331014751653820792359768449, 0.0, 0.0,
+            -1.05344954667372501984066689879e1, -2.00087205822486249909675718444,
+            -1.79589318631187989172765950534e1, 2.79488845294199600508499808837e1,
+            -2.85899827713502369474065508674, -8.87285693353062954433549289258,
+            1.23605671757943030647266201528e1, 6.43392746015763530355970484046e-1,
+        ),
+    )
+)
+_B = np.array(
     [
-        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
-        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+        5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+        4.45031289275240888144113950566, 1.89151789931450038304281599044,
+        -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+        -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+        4.47106157277725905176885569043e-2,
     ]
 )
-_B5 = _A[6]
-_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+_E5 = np.array(
+    [
+        0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+        -0.1225156446376204440720569753e1, -0.4957589496572501915214079952,
+        0.1664377182454986536961530415e1, -0.3503288487499736816886487290,
+        0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+        -0.2235530786388629525884427845e-1,
+    ]
 )
-_ERR = _B5 - _B4
+# _B less the 3rd-order weights
+_E3 = _B - np.array(
+    [
+        0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1,
+    ]
+)
 
 
 @dataclass(frozen=True)
@@ -107,14 +176,16 @@ def integrate(
     rel_tol: float = 1e-6,
     abs_tol: float = 1e-9,
 ) -> Trajectory:
-    """Adaptive 5(4) integration of y' = rhs(ps, y) from t = 0 to t_end.
+    """Adaptive 8(5,3) integration of y' = rhs(ps, y) from t = 0 to t_end.
 
     Returns the accepted points, with run counters in Trajectory.stats.
-    The first stage is the one-shot rhs(ps, y); every later stage is formed
-    in place in preallocated memory with one product with the state
-    operator, and its rounding is that of rhs on the same state. Raises
-    IntegrationError with the partial trajectory attached on step underflow
-    or a non-finite state.
+    The first stage is the one-shot rhs(ps, y); every later stage, and the
+    derivative at each accepted point, is formed in place in preallocated
+    memory with one product with the state operator, and its rounding is
+    that of rhs on the same state. The error is Hairer's blend of the 5th-
+    and 3rd-order estimates, and the step right after a rejection does not
+    grow. Raises IntegrationError with the partial trajectory attached on
+    step underflow or a non-finite state.
     """
     _require_degree(ps, "integrate")
     for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
@@ -146,70 +217,87 @@ def integrate(
 
     op, rhs_fn = ps.op, ps.rhs_fn
     lags = len(ps.model.delays)
-    k = np.empty((7, size))
-    k[0] = f0
-    # stage i: its tableau row, the earlier stages it combines, and the head
-    # (node 0, the model at the lag values) and tail (differentiated nodes)
-    # of the stage derivative it writes
-    stages = [
-        (_A[i, :i], k[:i], k[i, :d], k[i, d:].reshape(ps.n, d)) for i in range(1, 7)
-    ]
-    stage = np.empty(size)
-    stage_nodes = stage.reshape(ps.n + 1, d)
     z = np.empty((len(op), d))
     z_lags, z_tail = z[:lags], z[lags:]
+
+    def derivative(nodes, head, tail):
+        # the rounding of rhs: the head (node 0, the model at the lag values)
+        # and tail (differentiated nodes) of the derivative; ndarray.dot has
+        # less per-call overhead than np.dot or @ on arrays this small
+        op.dot(nodes, out=z)
+        try:
+            head[:] = rhs_fn(z_lags)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise EvalDomainError(str(exc), "model rhs at node 0") from None
+        tail[:] = z_tail
+
+    k = np.empty((len(_B), size))
+    k[0] = f0
+    heads = [k[i, :d] for i in range(len(_B))]
+    tails = [k[i, d:].reshape(ps.n, d) for i in range(len(_B))]
+    # stage i: its tableau row, the earlier stages it combines, and the head
+    # and tail of the derivative it writes
+    stages = [(_A[i], k[:i], heads[i], tails[i]) for i in range(1, len(_B))]
+    stage = np.empty(size)
+    stage_nodes = stage.reshape(ps.n + 1, d)
     abs_y = np.abs(y)
+    retried = False
     t = 0.0
     while t < t_end:
-        if h < 1e-12 * max(1.0, abs(t)):
+        if h >= t_end - t:
+            h = t_end - t  # the end of the window shortens this step
+        elif h < 1e-12 * max(1.0, abs(t)):
             fail(f"step size underflow at t={t!r}")
-        h = min(h, t_end - t)
-        # the rounding of y + h * (row . prev) and of rhs; ndarray.dot has
-        # less per-call overhead than np.dot or @ on arrays this small
+        # the rounding of y + h * (row . prev)
         for row, prev, head, tail in stages:
             np.multiply(row.dot(prev), h, out=stage)
             stage += y
-            op.dot(stage_nodes, out=z)
-            try:
-                head[:] = rhs_fn(z_lags)
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise EvalDomainError(str(exc), "model rhs at node 0") from None
-            tail[:] = z_tail
-        y_new = np.multiply(_B5.dot(k), h)
+            derivative(stage_nodes, head, tail)
+        y_new = np.multiply(_B.dot(k), h)
         y_new += y
         if not np.isfinite(y_new).all():
             rejected += 1
             fail(f"non-finite state at t={t!r}")
-        e = np.multiply(_ERR.dot(k), h)
         abs_y_new = np.abs(y_new)
         scale = np.maximum(abs_y, abs_y_new)
         scale *= rel_tol
         scale += abs_tol
-        e /= scale
-        err = math.sqrt(e.dot(e) / size)
+        e5 = _E5.dot(k)
+        e5 /= scale
+        e3 = _E3.dot(k)
+        e3 /= scale
+        n5 = e5.dot(e5)
+        blend = n5 + 0.01 * e3.dot(e3)
+        err = h * n5 / math.sqrt(blend * size) if blend > 0.0 else 0.0
+        factor = min(10.0, max(0.2, 0.9 * err**-0.125)) if err > 0.0 else 10.0
         if err <= 1.0:
             t += h
             y = y_new
             abs_y = abs_y_new
-            k[0] = k[6]  # first-same-as-last
+            # first-same-as-last: the next step's first stage
+            derivative(y.reshape(ps.n + 1, d), heads[0], tails[0])
             times.append(t)
             states.append(y)
             errors.append(err)
+            if retried:
+                factor = min(1.0, factor)
+            retried = False
         else:
             rejected += 1
-        factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
-        h *= min(5.0, max(0.2, factor))
+            retried = True
+        h *= factor
     return _trajectory(times, states, errors, rejected)
 
 
 def _trajectory(times, states, errors, rejected) -> Trajectory:
     """The accepted points with their run counters; every attempted step
-    (accepted or rejected) makes six rhs evaluations after the first one."""
+    (accepted or rejected) makes eleven rhs evaluations after the first
+    one, and every accepted step one more at its new point."""
     times = np.array(times)
     steps = np.diff(times)
     accepted = len(steps)
     stats = {
-        "rhs_evals": 1 + 6 * (accepted + rejected),
+        "rhs_evals": 1 + 11 * (accepted + rejected) + accepted,
         "accepted": accepted,
         "rejected": rejected,
         "h_min": float(steps.min()) if accepted else math.nan,
@@ -241,13 +329,24 @@ def _crossing_times(times, x, level):
     return np.array([_refined_crossing(times, x, i, level) for i in hits])
 
 
+def _refined_peak(times, x, i):
+    # vertex of the parabola through the largest sample and its neighbours,
+    # so the peak does not depend on how densely the hump is sampled; a
+    # hump's largest sample lies strictly between two crossings, so both
+    # neighbours exist
+    c2, c1, c0 = np.polyfit(times[i - 1 : i + 2] - times[i], x[i - 1 : i + 2], 2)
+    return c0 - c1 * c1 / (4.0 * c2) if c2 < 0.0 else x[i]
+
+
 def _cycle_length(t, x, crossings, spacings):
     # a subharmonic orbit crosses its mean once per hump, so the bare mean
     # spacing halves the period; compare the (spacing, hump peak) signature
     # of consecutive cycles and return the smallest repeat distance
-    peaks = np.array(
-        [x[(t >= a) & (t <= b)].max() for a, b in zip(crossings[:-1], crossings[1:])]
-    )
+    peaks = []
+    for a, b in zip(crossings[:-1], crossings[1:]):
+        lo, hi = np.searchsorted(t, (a, b))
+        peaks.append(_refined_peak(t, x, lo + int(np.argmax(x[lo:hi]))))
+    peaks = np.array(peaks)
     amp = x.max() - x.min()
     base = spacings.mean()
     for k in range(1, 5):

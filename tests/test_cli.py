@@ -201,6 +201,18 @@ def test_simulate_writes_csv_and_period_json(capsys, tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("t_end", ["1e-13", "5e-13"])
+def test_simulate_window_below_the_step_floor(capsys, t_end):
+    # the first step is the whole window, shorter than the underflow floor;
+    # the end of the window cut it, so it is no step size collapse
+    code, out, _ = run(capsys, ["simulate", "--model", "blowflies", "--n", "6",
+                                "--t-end", t_end, "--history", "const:4"])
+    assert code == 0
+    header, rows = rows_of(out)
+    assert header == ["t", "y0"] and len(rows) == 2
+    assert float(rows[-1][0]) == float(t_end)
+
+
 def test_simulate_period_needs_out(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["simulate", "--model", "blowflies", "--n", "6", "--t-end", "10",

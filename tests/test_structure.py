@@ -71,8 +71,9 @@ def test_third_derivative_compiles_on_first_use():
 
 
 # Runs each command in one fresh interpreter, in order, and prints after each
-# whether scipy.linalg is loaded; loading is permanent, so the commands that
-# need no degree-n solve go first and `hopf --n 10`, which does, goes last.
+# whether scipy.linalg and scipy.integrate are loaded; loading is permanent,
+# so the commands that need no degree-n solve go first and `hopf --n 10`,
+# which does, goes last.
 _COMMANDS = [
     ["simulate", "--model", "blowflies", "--n", "6", "--t-end", "2",
      "--history", "const:2.3"],
@@ -93,7 +94,7 @@ loaded = [sorted(m for m in sys.modules if m.startswith("scipy"))]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = chebdde.cli.main(argv)
-    loaded.append([code, "scipy.linalg" in sys.modules])
+    loaded.append([code, "scipy.linalg" in sys.modules, "scipy.integrate" in sys.modules])
 print(json.dumps(loaded))
 """
 
@@ -101,8 +102,9 @@ print(json.dumps(loaded))
 def test_scipy_loads_only_for_degree_n_solves():
     # importing scipy.linalg costs about 0.27 s and 26 MB, and scipy.integrate
     # another 0.3 s and 23 MB (an integrator from it has to be weighed
-    # against that); chebdde.cli loads neither, and only degree-n lag
-    # solves and the Schur-factored charts load scipy.linalg
+    # against that); chebdde.cli loads neither, only degree-n lag solves
+    # and the Schur-factored charts load scipy.linalg, and no command, the
+    # time stepping of simulate included, loads scipy.integrate
     src = os.path.dirname(os.path.dirname(chebdde.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -110,4 +112,4 @@ def test_scipy_loads_only_for_degree_n_solves():
                          env=env, capture_output=True, text=True, check=True)
     at_import, *runs = json.loads(out.stdout)
     assert at_import == []
-    assert runs == [[0, False]] * (len(_COMMANDS) - 1) + [[0, True]]
+    assert runs == [[0, False, False]] * (len(_COMMANDS) - 1) + [[0, True, False]]
