@@ -17,20 +17,23 @@ One jet per shift assembles Delta with its lambda- and parameter-derivatives
 for the charfn_* functions and the Hopf paths. At a degree the eigenvectors
 on both sides and a resolvent that never forms (lambda I - A_n) follow too.
 
-Lag solves call LAPACK directly, bound on the first degree-n solve: importing
-scipy.linalg is most of the CLI's start-up time and memory, and time stepping,
-spectra and the delay equation itself never solve with D. For a scalar model
-Delta is 1 x 1, and its smallest singular value is computed in the closed
-form LAPACK's SVD reduces to, so it is the same number without the call.
+Lag solves go through numpy.linalg.solve (LAPACK's gesv), whose bits do not
+depend on the BLAS thread count; no command but the degree-n chart imports
+scipy.linalg, which is most of a one-shot run's start-up time and memory.
+One solve per shift gives the lag solve and the inverse that its
+conditioning guard measures. For a scalar model Delta is 1 x 1, and its
+smallest singular value is computed in the closed form LAPACK's SVD reduces
+to, so it is the same number without the call.
 
 State layout is (y_0, y_1, ..., y_n) blocked by node, each block of size d.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,18 +68,23 @@ __all__ = [
     "replicate",
 ]
 
-#: refuse lag solves when the condition estimate of (D - lambda I) exceeds this
+#: refuse lag solves when the 1-norm condition number of (D - lambda I) exceeds this
 COND_LIMIT = 1e14
 
 
 @lru_cache(maxsize=64)
 def _operators(n: int, delays: tuple) -> tuple:
-    """Mesh, differentiation blocks and state operator at degree n, built
-    once and shared by every system with these delays, so read-only.
+    """Mesh, differentiation blocks, state operator and lag-solve constants
+    at degree n, built once and shared by every system with these delays,
+    so read-only.
 
     The (K + n) x (n + 1) state operator stacks the K lag rows ell(-tau_k)
     on the tail block (d0 | D), so one product gives every lag value and
-    every tail derivative.
+    every tail derivative. The lag-solve constants are the lag rows' heads
+    and their tails as complex arrays (so a product with a lag solve casts
+    nothing), the right-hand sides [D 1 | I] = [-d0 | I] and, for the
+    1-norm of D - lambda I, the diagonal of D and the column sums of |D|
+    off it.
     """
     mesh = make_mesh(n)
     diff = diff_matrix(mesh)
@@ -84,9 +92,14 @@ def _operators(n: int, delays: tuple) -> tuple:
         [_bary_coeffs(mesh.nodes, mesh.bary_weights, -float(tau)) for tau in delays]
     )
     op = np.vstack([lag_rows, np.column_stack([diff.d0, diff.D])])
-    for arr in (mesh.nodes, mesh.bary_weights, diff.D, diff.d0, op):
+    off = np.abs(diff.D)
+    np.fill_diagonal(off, 0.0)
+    lag = (lag_rows[:, 0], lag_rows[:, 1:].astype(complex),
+           np.column_stack([-diff.d0, np.eye(n)]).astype(complex),
+           np.diagonal(diff.D).copy(), off.sum(axis=0))
+    for arr in (mesh.nodes, mesh.bary_weights, diff.D, diff.d0, op, *lag):
         arr.flags.writeable = False
-    return mesh, diff, op
+    return mesh, diff, op, lag
 
 
 @lru_cache(maxsize=64)
@@ -97,22 +110,10 @@ def _identity(n: int, dtype=float) -> np.ndarray:
     return eye
 
 
-@cache
-def _lapack() -> tuple:
-    """LAPACK's zgetrf, zgetrs and zgecon, bound on the first degree-n solve."""
-    from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
-    return zgetrf, zgetrs, zgecon
-
-
-def lu_factor(a) -> tuple:
-    """LU factors (lu, piv) as scipy.linalg.lu_factor gives; ValueError on inf/NaN."""
-    lu, piv, _ = _lapack()[0](np.asarray_chkfinite(a))
-    return lu, piv
-
-
-def _lu_solve(factors: tuple, b) -> np.ndarray:
-    """Solve with LU factors from lu_factor."""
-    return _lapack()[1](*factors, b)[0]
+def lu_factor(a, b) -> np.ndarray:
+    """Solve a x = b with one LU factorization of a (LAPACK's gesv, through
+    numpy.linalg.solve); each lag solve at a new shift calls it once."""
+    return np.linalg.solve(a, b)
 
 
 def _require_degree(ps: "PsSystem", what: str):
@@ -135,10 +136,12 @@ class PsSystem:
     mesh: Optional[Mesh]
     diff: Optional[DiffOp]
     op: Optional[np.ndarray] = field(repr=False)
+    # the lag-solve constants of _operators
+    _lag: tuple = field(default=(), repr=False)
     # model._at_point's keywords: the known equilibrium, or the guess
     _seed: dict = field(default_factory=dict, repr=False)
-    # lambda -> (LU factors of D - lambda I, lag solve at lambda)
-    _lu: dict = field(default_factory=dict, init=False, repr=False)
+    # lambda -> (D - lambda I, lag solve at lambda)
+    _solves: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -166,42 +169,51 @@ class PsSystem:
         return _system(model, self.n, guess=self.equilibrium)
 
     def lag_solve(self, lam: complex) -> np.ndarray:
-        """Cached x(lambda) = (D - lambda I)^{-1} D 1 with a conditioning guard."""
+        """Cached x(lambda) = (D - lambda I)^{-1} D 1, refused when the
+        reciprocal 1-norm condition number of D - lambda I is below
+        1 / COND_LIMIT; one solve gives x and the inverse that measures it."""
         lam = complex(lam)
-        hit = self._lu.get(lam)
+        hit = self._solves.get(lam)
         if hit is not None:
             return hit[1]
         _require_degree(self, "lag_solve")
+        if not cmath.isfinite(lam):
+            raise ValueError("array must not contain infs or NaNs")
+        _, _, rhs, diag, off = self._lag
         mat = self.diff.D - lam * _identity(self.n)
-        lu, piv = lu_factor(mat)
-        rcond, info = _lapack()[2](lu, np.abs(mat).sum(axis=0).max())  # 1-norm
-        if info != 0 or rcond < 1.0 / COND_LIMIT:
+        try:
+            sol = lu_factor(mat, rhs)
+        except np.linalg.LinAlgError:  # an exact zero pivot
+            rcond = 0.0
+        else:
+            norm = (off + np.abs(diag - lam)).max()
+            rcond = 1.0 / (norm * np.abs(sol[:, 1:]).sum(axis=0).max())
+        if not rcond >= 1.0 / COND_LIMIT:  # NaN is refused too
             raise ConditioningError(
                 f"(D - lambda I) is numerically singular at lambda={lam} "
                 f"(rcond={rcond:.2e}); lambda sits near a spurious eigenvalue of D"
             )
-        x = _lu_solve((lu, piv), -self.diff.d0)  # D 1 = -d0
-        if len(self._lu) > 512:
-            self._lu.clear()
-        self._lu[lam] = ((lu, piv), x)
+        # contiguous: a BLAS dot product rounds a strided vector differently
+        x = sol[:, 0].copy()
+        if len(self._solves) > 512:
+            self._solves.clear()
+        self._solves[lam] = (mat, x)
         return x
 
     def lag_values(self, lam: complex, order: int = 0) -> list:
         """Lag factor v_k(lambda) (order 0) or its derivative v_k'(lambda)
         (order 1) for every delay: exponentials for the delay equation; at a
         degree the interpolated lag solve, whose derivative is one more
-        solve with the same LU factors."""
+        solve with the same matrix."""
         if self.n is None:
             return delta0_lags(self.model.delays, lam, order)
         lam = complex(lam)
         x = self.lag_solve(lam)
         head = 1.0
         if order == 1:
-            x, head = _lu_solve(self._lu[lam][0], x), 0.0
-        return [
-            row[0] * head + row[1:] @ x
-            for row in self.op[: len(self.model.delays)]
-        ]
+            x, head = np.linalg.solve(self._solves[lam][0], x), 0.0
+        heads, tails = self._lag[:2]
+        return [h * head + t @ x for h, t in zip(heads, tails)]
 
 
 def make_system(model: DdeModel, n: Optional[int] = None, equilibrium=None) -> PsSystem:
@@ -218,9 +230,10 @@ def make_system(model: DdeModel, n: Optional[int] = None, equilibrium=None) -> P
 def _system(model: DdeModel, n: Optional[int], **seed) -> PsSystem:
     """Every PsSystem is built here; seed as for model._at_point."""
     mesh = diff = op = None
+    lag = ()
     if n is not None:
-        mesh, diff, op = _operators(n, model.delays)
-    return PsSystem(model, n, mesh, diff, op, seed)
+        mesh, diff, op, lag = _operators(n, model.delays)
+    return PsSystem(model, n, mesh, diff, op, lag, seed)
 
 
 def replicate(xbar, n: int) -> np.ndarray:
@@ -429,7 +442,7 @@ def eigvec_left(ps: PsSystem, lam: complex, p: Optional[np.ndarray] = None) -> n
 
 
 def resolvent_apply(ps: PsSystem, lam: complex, zeta) -> np.ndarray:
-    """Solve (lambda I - A_n) h = zeta with the lag solve's LU and a d x d solve."""
+    """Solve (lambda I - A_n) h = zeta with the lag solve's matrix and a d x d solve."""
     _require_degree(ps, "resolvent_apply")
     lam = complex(lam)
     d, n = ps.dim, ps.n
@@ -440,10 +453,11 @@ def resolvent_apply(ps: PsSystem, lam: complex, zeta) -> np.ndarray:
             f"lambda={lam} is an eigenvalue: Delta_n is singular"
         )
     x_eig = ps.lag_solve(lam)  # (D - lambda I)^{-1} D 1
-    x_part = -_lu_solve(ps._lu[lam][0], zeta[1:])
+    # Fortran order: for d > 1 the products below round by memory order
+    x_part = np.asfortranarray(-np.linalg.solve(ps._solves[lam][0], zeta[1:]))
     head_rhs = zeta[0].copy()
-    for row, mat in zip(ps.op[: len(ps.linear.mats)], ps.linear.mats):
-        head_rhs += mat @ (row[1:] @ x_part)
+    for row, mat in zip(ps._lag[1], ps.linear.mats):
+        head_rhs += mat @ (row @ x_part)
     h0 = np.linalg.solve(delta, head_rhs)
     tail = x_part + np.outer(x_eig, h0)
     return np.concatenate([h0, tail.reshape(-1)])

@@ -344,7 +344,10 @@ def _newton(model: DdeModel, guess) -> tuple:
         raise ValueError(f"guess must have length {model.dim}")
     for steps in range(50):
         f, grad = model.derivs.first(x, model.params)
-        if np.abs(f).max() < 1e-12 * (1.0 + np.abs(x).max()):
+        # max |f| < 1e-12 (1 + max |x|) on Python floats; a NaN fails it
+        xs = x.tolist()
+        tol = 1e-12 * (1.0 + max(map(abs, xs)))
+        if all(abs(v) < tol for v in f.tolist()) and not any(map(math.isnan, xs)):
             return x, grad, steps
         try:
             # the collapsed Jacobian: every lag of a component moves alike

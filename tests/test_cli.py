@@ -283,9 +283,7 @@ def test_chart_blowfly_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert results[0] == results[1]
 
 
-#: exact-path Hopf points and 41-point curves of both built-in models; the
-#: degree-n curve is left out, since scipy's zgetrs in the lag solve gives
-#: thread-dependent last digits there
+#: exact-path Hopf points and 41-point curves of both built-in models
 EXACT_HOPF_ARGVS = [
     ["hopf", "--model", "blowflies", "--set", "mu=4", "--param", "beta",
      "--omega", "2.4", "--alpha", "35", "--analytic"],
@@ -298,24 +296,49 @@ EXACT_HOPF_ARGVS = [
      "--omega", "1.2", "--alpha", "1", "--step", "0.1", "--max-points", "41", "--analytic"],
 ]
 
+#: the same commands on the collocated problem: every lag solve behind them
+DEGREE_N_HOPF_ARGVS = [
+    ["hopf", "--model", "blowflies", "--set", "mu=4", "--param", "beta",
+     "--omega", "2.4", "--alpha", "35", "--n", "10"],
+    ["curve", "--model", "blowflies", "--params", "mu,beta", "--seed-param", "beta",
+     "--set", "mu=4", "--omega", "2.4", "--alpha", "35", "--step", "0.25",
+     "--max-points", "41", "--n", "10"],
+    ["converge", "--model", "blowflies", "--param", "beta", "--set", "mu=4",
+     "--n-list", "4,6,8,10,12,14,16", "--reference", "analytic"],
+]
 
-def test_exact_hopf_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # each argv in turn, in one fresh process per BLAS thread count; the
-    # runner prints each exit code, so a failure shows in the bytes as well
+
+def _bytes_per_thread_count(tmp_path, argvs):
+    """(stdout, stderr, output files) of the argvs run in turn, in one fresh
+    process per BLAS thread count, 1 and 2; the runner prints each exit
+    code, so a failure shows in the bytes as well."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     runner = ("import json, sys\nfrom chebdde.cli import main\n"
               "for argv in json.loads(sys.argv[1]):\n    print(main(argv))\n")
     results = []
     for threads in ("1", "2"):
-        outs = [tmp_path / f"{threads}-{i}.out" for i in range(len(EXACT_HOPF_ARGVS))]
-        argvs = [argv + ["--out", str(out)] for argv, out in zip(EXACT_HOPF_ARGVS, outs)]
+        outs = [tmp_path / f"{threads}-{i}.out" for i in range(len(argvs))]
+        with_out = [argv + ["--out", str(out)] for argv, out in zip(argvs, outs)]
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", runner, json.dumps(argvs)],
+        done = subprocess.run([sys.executable, "-c", runner, json.dumps(with_out)],
                               env=env, capture_output=True, check=True)
         results.append((done.stdout, done.stderr, [out.read_bytes() for out in outs]))
+    return results
+
+
+def test_exact_hopf_bytes_do_not_depend_on_blas_threads(tmp_path):
+    results = _bytes_per_thread_count(tmp_path, EXACT_HOPF_ARGVS)
     assert results[0][0] == b"0\n" * len(EXACT_HOPF_ARGVS)
     assert results[0][2][3].count(b"\n") == 42
+    assert results[0] == results[1]
+
+
+def test_degree_n_hopf_bytes_do_not_depend_on_blas_threads(tmp_path):
+    results = _bytes_per_thread_count(tmp_path, DEGREE_N_HOPF_ARGVS)
+    assert results[0][0] == b"0\n" * len(DEGREE_N_HOPF_ARGVS)
+    assert results[0][2][1].count(b"\n") == 42
+    assert results[0][2][2].count(b"\n") == 8
     assert results[0] == results[1]
 
 

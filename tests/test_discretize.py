@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import zgecon
 
 from chebdde.cheb_mesh import interpolate
 from chebdde.discretize import (
@@ -514,23 +513,32 @@ def test_degree_only_operations_refuse_the_delay_equation(call):
     assert "make_system(model, n)" in str(err.value)
 
 
+def _lu_solve_twice(factors, b):
+    """scipy.linalg.lu_solve with b passed as two equal column blocks, the
+    first kept: with more than one right-hand side getrs takes its trsm
+    path, whose bits are the one-thread bits at any BLAS thread count (with
+    one right-hand side it takes trsv, whose bits are not)."""
+    b = np.asarray(b, dtype=complex)
+    cols = b.reshape(len(b), -1)
+    return lu_solve(factors, np.hstack([cols, cols]))[:, : cols.shape[1]].reshape(b.shape)
+
+
 def _reference_solves(ps, lam, zeta):
     """The lag solve, lag_values(order=1) and resolvent_apply computed with
-    scipy.linalg's LU wrappers, as the library did before it called LAPACK
-    directly; None where the conditioning guard refuses the shift."""
+    scipy.linalg's LU wrappers; None where the reciprocal 1-norm condition
+    number of D - lambda I is below 1e-14, where the library refuses."""
     k, d, n = len(ps.model.delays), ps.dim, ps.n
     mat = ps.diff.D - lam * np.eye(n)
-    factors = lu_factor(mat.astype(complex))
-    rcond, info = zgecon(factors[0], np.linalg.norm(mat, 1))
-    if info != 0 or rcond < 1e-14:
+    if 1.0 / np.linalg.cond(mat, 1) < 1e-14:
         return None
-    x = lu_solve(factors, -ps.diff.d0)
-    dx = lu_solve(factors, x)
+    factors = lu_factor(mat.astype(complex))
+    x = _lu_solve_twice(factors, -ps.diff.d0)
+    dx = _lu_solve_twice(factors, x)
     lag = [row[0] * 1.0 + row[1:] @ x for row in ps.op[:k]]
     dlag = [row[0] * 0.0 + row[1:] @ dx for row in ps.op[:k]]
     resolvent_lu = lu_factor(lam * np.eye(n) - ps.diff.D.astype(complex))
-    x_part = lu_solve(resolvent_lu, zeta[1:])
-    x_eig = lu_solve(resolvent_lu, ps.diff.d0.astype(complex))
+    x_part = _lu_solve_twice(resolvent_lu, zeta[1:])
+    x_eig = _lu_solve_twice(resolvent_lu, ps.diff.d0)
     delta = lam * np.eye(d).astype(complex)
     for c, val in zip(ps.linear.mats, lag):
         delta -= c * val
@@ -542,15 +550,28 @@ def _reference_solves(ps, lam, zeta):
     return x, dlag, np.concatenate([h0, tail.reshape(-1)])
 
 
-@settings(max_examples=60)
+#: models for the solve comparisons: with the delays 0 and 1 alone every
+#: lag row's tail is 0 or a unit vector, so products with it round nothing
+SOLVE_MODELS = [
+    lambda: blowflies(MU, BETA),
+    fluidflow,
+    lambda: make_model(1, (0.0, 0.37, 1.0), ("-a*x0@0 + b*x0@1*exp(-x0@2)",),
+                       {"a": MU, "b": BETA}, (NBAR,)),
+    lambda: make_model(2, (0.0, 0.5, 1.0),
+                       ("-x0@0 + k*x1@1 - x0@2^3", "-c*x1@0 - x0@1 + 0.5*x1@2"),
+                       {"k": 1.5, "c": 1.0}, (0.0, 0.0)),
+]
+
+
+@settings(max_examples=80)
 @given(
     n=st.integers(1, 48),
-    two_dim=st.booleans(),
+    which=st.integers(0, len(SOLVE_MODELS) - 1),
     lam=st.complex_numbers(max_magnitude=40.0),
     seed=st.integers(0, 2**16),
 )
-def test_lapack_solves_match_scipy_wrappers(n, two_dim, lam, seed):
-    model = fluidflow() if two_dim else blowflies(MU, BETA)
+def test_lapack_solves_match_scipy_wrappers(n, which, lam, seed):
+    model = SOLVE_MODELS[which]()
     ps = make_system(model, n)
     d = model.dim
     rng = np.random.default_rng(seed)

@@ -229,6 +229,20 @@ def test_scalar_solve_with_many_rhs_is_lapacks(pivot, rhs):
         np.linalg.solve, np.array([[pivot]]), b)
 
 
+@pytest.mark.parametrize("rhs, hint", [
+    # the residual at (0, 0) is (0, NaN), with the NaN second, where a
+    # Python max over the components would skip it
+    (("-x0@0", "p*x0@1 - x1@0"), (0.0, 0.0)),
+    (("-x0@0", "p*x0@1 - x1@0"), (0.0, math.nan)),
+    # a zero residual at a state whose second component is NaN
+    (("-x0@0", "-x0@0"), (0.0, math.nan)),
+])
+def test_equilibrium_newton_never_converges_on_a_nan(rhs, hint):
+    model = make_model(2, (0.0, 1.0), rhs, params={"p": math.nan}, equilibrium_hint=hint)
+    with pytest.raises(ConvergenceError):
+        equilibrium_solve(model)
+
+
 @pytest.mark.parametrize("pivot", [0.0, -0.0])
 def test_scalar_solve_refuses_a_zero_pivot_as_lapack_does(pivot):
     for b in (np.array([1.0]), np.array([[1.0, 2.0]])):

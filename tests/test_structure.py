@@ -72,8 +72,7 @@ def test_third_derivative_compiles_on_first_use():
 
 # Runs each command in one fresh interpreter, in order, and prints after each
 # whether scipy.linalg and scipy.integrate are loaded; loading is permanent,
-# so the commands that need no degree-n solve go first and `hopf --n 10`,
-# which does, goes last.
+# so the one command that needs it, the degree-n chart, goes last.
 _COMMANDS = [
     ["simulate", "--model", "blowflies", "--n", "6", "--t-end", "2",
      "--history", "const:2.3"],
@@ -86,6 +85,15 @@ _COMMANDS = [
      "--step", "0.5", "--max-points", "5"],
     ["hopf", "--model", "blowflies", "--param", "beta", "--set", "mu=3",
      "--n", "10", "--omega", "2", "--alpha", "30"],
+    ["lyap", "--model", "fluidflow", "--param", "k", "--n", "10", "--omega", "1.2",
+     "--alpha", "1"],
+    ["curve", "--model", "blowflies", "--params", "mu,beta", "--seed-param",
+     "beta", "--set", "mu=3", "--n", "10", "--omega", "2.4", "--alpha", "29",
+     "--step", "0.5", "--max-points", "5"],
+    ["converge", "--model", "blowflies", "--param", "beta", "--set", "mu=4",
+     "--n-list", "4,8"],
+    ["chart-blowfly", "--n", "40", "--omega-min", "1.6", "--omega-max", "3.1",
+     "--steps", "50"],
 ]
 _PROBE = """
 import contextlib, io, json, sys
@@ -102,9 +110,10 @@ print(json.dumps(loaded))
 def test_scipy_loads_only_for_degree_n_solves():
     # importing scipy.linalg costs about 0.27 s and 26 MB, and scipy.integrate
     # another 0.3 s and 23 MB (an integrator from it has to be weighed
-    # against that); chebdde.cli loads neither, only degree-n lag solves
-    # and the Schur-factored charts load scipy.linalg, and no command, the
-    # time stepping of simulate included, loads scipy.integrate
+    # against that); chebdde.cli loads neither, the lag solves behind the
+    # degree-n Hopf commands run on numpy.linalg, only the Schur-factored
+    # degree-n chart loads scipy.linalg, and no command, the time stepping
+    # of simulate included, loads scipy.integrate
     src = os.path.dirname(os.path.dirname(chebdde.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
