@@ -7,8 +7,8 @@ transcendental Delta they give serves as the reference oracle. The rest of
 the module charts the scalar delayed-feedback family
 x' = b1 x(t) + b2 x(t-1): Hopf boundary curves (exact and discretized), the
 (b1, b2) <-> (mu, beta) change of parameters for the delayed-recruitment
-interpretation, crossing speeds, and first Lyapunov coefficients along the
-boundary in closed form.
+interpretation, and first Lyapunov coefficients along the boundary in
+closed form, one chart row per omega of an admissible grid.
 
 The discretized curves need the last entry of (D - lambda I)^{-p} D 1 at many
 shifts lambda. D is factored once per degree in real Schur form D = Z T Z^T,
@@ -42,9 +42,6 @@ __all__ = [
     "to_mu_beta",
     "c0_blowfly",
     "cn_blowfly",
-    "lambda_prime_n2",
-    "lambda_prime_n2_re",
-    "boundary_point",
     "boundary_points",
     "admissible_omegas",
 ]
@@ -285,31 +282,6 @@ def cn_blowfly(n: int, omega):
     return complex(c) if w.ndim == 0 else c
 
 
-def _b1_n2(omega: float) -> tuple:
-    """(omega, b1) on the principal n=2 branch 0 < |omega| < 4."""
-    w = float(omega)
-    if w == 0.0:
-        raise ValueError("crossing speed is undefined at omega = 0")
-    if not -4.0 < w < 4.0:
-        raise ValueError(f"omega={w} outside the principal n=2 branch (-4, 4)")
-    w2 = w * w
-    if abs(w2 - 16.0) < 1e-12:
-        raise SingularityError(f"n=2 boundary singular at omega={w}")
-    return w, (7.0 * w2 - 16.0) / (w2 - 16.0)
-
-
-def lambda_prime_n2(omega: float) -> complex:
-    """Eigenvalue crossing speed d lambda / d b2 along the n=2 boundary."""
-    w, b1 = _b1_n2(omega)
-    return (1j * w - 4.0) / (w * (-2.0 * w + 6j - 2j * b1))
-
-
-def lambda_prime_n2_re(omega: float) -> float:
-    """Closed-form real part of the crossing speed: (14-2 b1)/(4 w^2+(6-2 b1)^2)."""
-    w, b1 = _b1_n2(omega)
-    return (14.0 - 2.0 * b1) / (4.0 * w * w + (6.0 - 2.0 * b1) ** 2)
-
-
 @dataclass(frozen=True)
 class BoundaryPoint:
     """One admissible point on a Hopf boundary chart."""
@@ -342,11 +314,6 @@ def boundary_points(omegas, n: Optional[int] = None) -> list:
         mu, beta = to_mu_beta(y1, y2)
         points.append(BoundaryPoint(float(x), y1, y2, mu, beta, float(cx.real)))
     return points
-
-
-def boundary_point(omega: float, n: Optional[int] = None) -> BoundaryPoint:
-    """Chart row at one omega; see boundary_points."""
-    return boundary_points([omega], n)[0]
 
 
 def admissible_omegas(

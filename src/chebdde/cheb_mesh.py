@@ -1,5 +1,5 @@
-"""Chebyshev extremal meshes on [-1, 0], barycentric Lagrange interpolation
-and the pseudospectral differentiation matrix.
+"""Chebyshev extremal meshes on [-1, 0] with their barycentric weights, and
+the pseudospectral differentiation matrix built from them.
 
 The mesh carries the full node set theta_0 = 0 > theta_1 > ... > theta_n = -1.
 Differentiation is split into the square matrix D acting on the tail values
@@ -17,10 +17,7 @@ __all__ = [
     "Mesh",
     "DiffOp",
     "make_mesh",
-    "lagrange_eval",
     "diff_matrix",
-    "interpolate",
-    "lebesgue_constant",
 ]
 
 
@@ -80,14 +77,6 @@ def _bary_coeffs(nodes: np.ndarray, weights: np.ndarray, theta) -> np.ndarray:
     return out
 
 
-def lagrange_eval(mesh: Mesh, j: int, theta: float) -> float:
-    """Value of the j-th Lagrange basis polynomial at theta (barycentric
-    second form with an exact-hit branch)."""
-    if not 0 <= j <= mesh.n:
-        raise ValueError(f"basis index {j} outside 0..{mesh.n}")
-    return float(_bary_coeffs(mesh.nodes, mesh.bary_weights, float(theta))[j])
-
-
 def diff_matrix(mesh: Mesh) -> DiffOp:
     """Differentiation matrix on the mesh, split as (d0 | D).
 
@@ -103,43 +92,3 @@ def diff_matrix(mesh: Mesh) -> DiffOp:
     np.fill_diagonal(full, 0.0)
     np.fill_diagonal(full, -np.sum(full, axis=1))
     return DiffOp(D=full[1:, 1:].copy(), d0=full[1:, 0].copy())
-
-
-def interpolate(mesh: Mesh, head, tail_values, theta: float):
-    """Evaluate the interpolating polynomial with value `head` at theta_0 = 0
-    and values `tail_values` at theta_1..theta_n.
-
-    Componentwise for vector-valued data: head may be a scalar or a length-d
-    vector, tail_values then an (n, d) array. Complex data is allowed.
-    """
-    head = np.asarray(head)
-    tail = np.asarray(tail_values)
-    if tail.shape[0] != mesh.n:
-        raise ValueError(
-            f"expected {mesh.n} tail values, got {tail.shape[0]}"
-        )
-    vals = np.concatenate([head[None, ...], tail], axis=0)
-    coeffs = _bary_coeffs(mesh.nodes, mesh.bary_weights, float(theta))
-    out = np.tensordot(coeffs, vals, axes=(0, 0))
-    if head.ndim == 0:
-        return out[()]
-    return out
-
-
-def lebesgue_constant(mesh: Mesh) -> float:
-    """Maximum of sum_j |ell~_j(theta)| for the reduced basis on
-    {theta_1..theta_n} over a 2048-point grid; a lower bound on the true
-    Lebesgue constant."""
-    if mesh.n == 1:
-        return 1.0
-    red = mesh.nodes[1:]
-    diff = red[:, None] - red[None, :]
-    np.fill_diagonal(diff, 1.0)
-    w = 1.0 / np.prod(4.0 * diff, axis=1)
-    w /= np.max(np.abs(w))
-
-    grid = np.linspace(-1.0, 0.0, 2048)
-    best = 0.0
-    for theta in grid:
-        best = max(best, float(np.sum(np.abs(_bary_coeffs(red, w, theta)))))
-    return best

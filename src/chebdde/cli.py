@@ -452,6 +452,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except MemoryError as exc:
+        # numpy's message names the allocation; a bare MemoryError has none
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
+        return 2
     return 0
 
 

@@ -453,7 +453,7 @@ def trace_hopf_curve(model, params, start: HopfPoint, step: float,
     half = max(0, (int(max_points) - 1) // 2)
 
     def walk(direction):
-        pts, steps, diags = [], [], []
+        pts, diags = [], []
         prev = u0
         tang = direction * tangent
         h = abs(step)
@@ -481,20 +481,19 @@ def trace_hopf_curve(model, params, start: HopfPoint, step: float,
                 )
             tang = (u_new - prev) / ds
             pts.append(u_new)
-            steps.append(ds)
             diags.append(CurveDiag(residual=res, iterations=its, simplicity=simp))
             prev = u_new
             if its <= 4:
                 h = min(h * 2.0, 4.0 * abs(step))
-        return pts, steps, diags
+        return pts, diags
 
-    backward = walk(-math.copysign(1.0, step))
-    forward = walk(math.copysign(1.0, step))
-    points = backward[0][::-1] + [u0] + forward[0]
+    back_pts, back_diags = walk(-math.copysign(1.0, step))
+    fwd_pts, fwd_diags = walk(math.copysign(1.0, step))
+    points = back_pts[::-1] + [u0] + fwd_pts
     diags = (
-        backward[2][::-1]
+        back_diags[::-1]
         + [CurveDiag(residual=res0, iterations=0, simplicity=_smin(dl0))]
-        + forward[2]
+        + fwd_diags
     )
     steps = [0.0] + [
         float(np.linalg.norm(b - a)) for a, b in zip(points, points[1:])

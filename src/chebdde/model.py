@@ -2,14 +2,14 @@
 
 A model is a d-dimensional system x'(t) = f(x(t-tau_0), ..., x(t-tau_K)) with
 point delays scaled so the largest is 1, right-hand sides given as expression
-trees, and a real parameter map. Equilibria, linearizations and the Hopf
-normal form's second- and third-order forms come from symbolic derivatives
-of the expression trees, compiled once per model (the third on first use),
-so they are exact derivatives, not difference quotients, and the equilibrium
-Newton's last Jacobian is the linearization. For a scalar model the Newton
-step and the equilibrium drift divide by the 1 x 1 collapsed Jacobian with
-the operations LAPACK's solve makes, so they are the same numbers without
-its call.
+trees, and a real parameter map. Equilibria, linearizations and the second
+and third derivative tensors the Hopf normal form contracts come from
+symbolic derivatives of the expression trees, compiled once per model (the
+third on first use), so they are exact derivatives, not difference
+quotients, and the equilibrium Newton's last Jacobian is the linearization.
+For a scalar model the Newton step and the equilibrium drift divide by the
+1 x 1 collapsed Jacobian with the operations LAPACK's solve makes, so they
+are the same numbers without its call.
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ __all__ = [
     "equilibrium_solve",
     "linearize",
     "param_jacobians",
-    "bilinear_form",
-    "trilinear_form",
 ]
 
 
@@ -185,10 +183,6 @@ class LinearPart:
     @property
     def dim(self) -> int:
         return self.mats[0].shape[0]
-
-    @property
-    def terms(self):
-        return tuple(zip(self.delays, self.mats))
 
 
 def make_model(
@@ -420,25 +414,3 @@ def _param_jacobians(model: DdeModel, xbar, grad) -> dict:
         name: tuple(total[:, lag, :, j].copy() for lag in range(n_lags))
         for j, name in enumerate(model.derivs.names)
     }
-
-
-def _slot_vector(model: DdeModel, direction) -> np.ndarray:
-    """A {(comp, lag): value} direction over the slots lag * dim + comp."""
-    slots = ((comp, lag) for lag in range(len(model.delays)) for comp in range(model.dim))
-    return np.array([direction.get(key, 0.0) for key in slots], dtype=complex)
-
-
-def bilinear_form(model: DdeModel, xbar, u, v) -> np.ndarray:
-    """Componentwise second derivative D^2 f(xbar)(u, v) of the full rhs.
-
-    u and v assign a complex value per (comp, lag); since the linear part is
-    degree one, this equals the second derivative of the shifted nonlinearity.
-    """
-    hess = model.derivs.second(xbar, model.params)[1]
-    return hess @ _slot_vector(model, v) @ _slot_vector(model, u)
-
-
-def trilinear_form(model: DdeModel, xbar, u, v, w) -> np.ndarray:
-    """Componentwise third derivative D^3 f(xbar)(u, v, w) of the full rhs."""
-    w, v, u = (_slot_vector(model, z) for z in (w, v, u))
-    return model.derivs.third(xbar, model.params) @ w @ v @ u

@@ -162,7 +162,7 @@ def sample_history(ps: PsSystem, phi) -> np.ndarray:
         try:
             val = phi(theta)
         except Exception as exc:
-            raise EvalDomainError(str(exc), f"history at theta={theta!r}") from None
+            raise EvalDomainError(str(exc), f"history at theta={float(theta)!r}") from None
         out[j] = np.broadcast_to(np.asarray(val, dtype=float), (d,))
     if not np.all(np.isfinite(out)):
         raise EvalDomainError("non-finite history value", "history samples")

@@ -9,14 +9,11 @@ from hypothesis import strategies as st
 from chebdde import analytic
 from chebdde.analytic import (
     admissible_omegas,
-    boundary_point,
     boundary_points,
     c0_blowfly,
     cn_blowfly,
     dde_boundary,
     lag_solve_last,
-    lambda_prime_n2,
-    lambda_prime_n2_re,
     ps_boundary,
     to_mu_beta,
 )
@@ -24,6 +21,7 @@ from chebdde.cheb_mesh import diff_matrix, make_mesh
 from chebdde.discretize import charfn_dalpha, charfn_dlambda, charfn_eval, make_system
 from chebdde.errors import SingularityError
 from chebdde.model import blowflies, fluidflow, make_model
+from _reference import lambda_prime_n2, lambda_prime_n2_re
 
 MU, BETA = 3.0, 30.0
 B1 = -MU
@@ -283,13 +281,13 @@ def test_admissible_omegas_excludes_singularity():
     ws = admissible_omegas(math.pi / 2 + 0.01, math.pi - 0.01, 60, n=3)
     assert ws.max() < 3.028
     for w in ws:
-        pt = boundary_point(w, n=3)
+        pt = boundary_points([w], n=3)[0]
         assert math.isfinite(pt.b1) and math.isfinite(pt.re_c)
         assert pt.mu > 0.0
 
 
 def test_boundary_point_exact_curve():
-    pt = boundary_point(2.0)
+    pt = boundary_points([2.0])[0]
     b1, b2 = dde_boundary(2.0)
     assert pt.b1 == b1 and pt.b2 == b2
     assert abs(pt.mu + b1) < 1e-15
@@ -515,7 +513,7 @@ def test_exact_pole_filter_matches_full_list():
 
 
 def test_n2_pole_is_the_closed_form():
-    # _b1_n2 is singular where omega^2 = 16
+    # the n=2 closed form _reference._b1_n2 is singular where omega^2 = 16
     (pole,) = analytic._chart_poles(2)
     assert abs(pole - 4.0) <= 1e-14 * 4.0
 

@@ -230,6 +230,18 @@ def test_simulate_expression_history(capsys):
     assert float(rows[0][1]) == 1.0
 
 
+def test_history_error_names_theta_as_a_plain_float(capsys):
+    code, out, err = run(capsys, [
+        "simulate", "--model", "blowflies", "--n", "4", "--t-end", "2",
+        "--history", "expr:log(theta)",
+    ])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "domain_error",
+        "message": "math domain error in 'log(theta)' in 'history at theta=0.0'",
+    }
+
+
 def test_simulate_rejects_malformed_history(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["simulate", "--model", "blowflies", "--n", "4", "--t-end", "2",
@@ -404,6 +416,20 @@ def test_missing_model_file_exits_2(capsys, tmp_path):
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 74.5 GiB for an array"),
+     "error: Unable to allocate 74.5 GiB for an array\n"),
+    (MemoryError(), "error: out of memory\n"),
+])
+def test_memory_error_exits_2(capsys, monkeypatch, exc, message):
+    # a degree too large to allocate, as numpy reports it for mesh --n 100000
+    def fail(n):
+        raise exc
+    monkeypatch.setattr(cli, "make_mesh", fail)
+    code, out, err = run(capsys, ["mesh", "--n", "100000"])
+    assert (code, out, err) == (2, "", message)
 
 
 def test_nonfinite_override_exits_2(capsys):

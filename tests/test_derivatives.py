@@ -14,15 +14,14 @@ from hypothesis import strategies as st
 from chebdde._expr import BinOp, Call, Neg, Num, Param, State, diff, evaluate, parse_expr
 from chebdde.errors import EvalDomainError
 from chebdde.model import (
-    bilinear_form,
     blowflies,
     equilibrium_solve,
     eval_jet3,
     fluidflow,
     linearize,
     make_model,
-    trilinear_form,
 )
+from _reference import bilinear_form, trilinear_form
 from test_simulate import three_delay_model
 
 # two components, two delays: slot i = lag * 2 + comp

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
-from chebdde.cheb_mesh import interpolate
 from chebdde.discretize import (
     _jet,
     _smin,
@@ -32,6 +31,7 @@ from chebdde.errors import (
     UnknownSymbolError,
 )
 from chebdde.model import blowflies, equilibrium_solve, fluidflow, make_model
+from _reference import interpolate
 
 MU, BETA = 3.0, 30.0
 NBAR = math.log(BETA / MU)

@@ -9,7 +9,6 @@ from chebdde.analytic import (
     c0_blowfly,
     cn_blowfly,
     dde_boundary,
-    lambda_prime_n2_re,
     ps_boundary,
     to_mu_beta,
 )
@@ -33,6 +32,7 @@ from chebdde.hopf import (
     trace_hopf_curve,
 )
 from chebdde.model import blowflies, fluidflow, make_model
+from _reference import lambda_prime_n2_re
 
 MU = 3.0
 

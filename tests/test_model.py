@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from chebdde.errors import ConvergenceError, UnknownSymbolError
 from chebdde.model import (
     _solve,
-    bilinear_form,
     blowflies,
     equilibrium_solve,
     fluidflow,
@@ -17,8 +16,8 @@ from chebdde.model import (
     linearize,
     load_model,
     make_model,
-    trilinear_form,
 )
+from _reference import bilinear_form, trilinear_form
 
 
 def test_make_model_validation():

@@ -12,8 +12,11 @@ import pytest
 
 import chebdde
 
+from chebdde import analytic, cheb_mesh
+from chebdde import model as model_layer
 from chebdde.discretize import charfn_eval, make_system
-from chebdde.model import blowflies, trilinear_form
+from chebdde.model import blowflies
+from _reference import trilinear_form
 
 LAYERS = ["cheb_mesh", "model", "discretize", "analytic", "hopf", "simulate"]
 
@@ -22,6 +25,36 @@ LAYERS = ["cheb_mesh", "model", "discretize", "analytic", "hopf", "simulate"]
 def test_every_exported_name_exists(layer):
     module = importlib.import_module(f"chebdde.{layer}")
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+# What only tests used: the oracles now in tests/_reference.py, the deleted
+# wrapper analytic.boundary_point and the unread property LinearPart.terms
+_TEST_ONLY = [
+    (cheb_mesh, ["lagrange_eval", "interpolate", "lebesgue_constant"]),
+    (model_layer, ["_slot_vector", "bilinear_form", "trilinear_form"]),
+    (analytic, ["_b1_n2", "lambda_prime_n2", "lambda_prime_n2_re", "boundary_point"]),
+    (model_layer.LinearPart, ["terms"]),
+]
+_LOADED_FILES = """
+import json, sys
+import chebdde.cli
+print(json.dumps([getattr(m, "__file__", None) or "" for m in list(sys.modules.values())]))
+"""
+
+
+def test_the_library_holds_no_test_only_code():
+    left = [f"{owner.__name__}.{name}" for owner, names in _TEST_ONLY
+            for name in names if hasattr(owner, name)]
+    assert left == []
+    # tests/ is importable in the child, yet the CLI loads nothing from it
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(chebdde.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, tests_dir, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _LOADED_FILES],
+                         env=env, capture_output=True, text=True, check=True)
+    files = json.loads(out.stdout)
+    assert [f for f in files if os.path.abspath(f).startswith(tests_dir + os.sep)] == []
 
 
 def test_degree_operators_are_shared_and_read_only():
