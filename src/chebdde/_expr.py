@@ -27,6 +27,10 @@ Expr = Union["Num", "Param", "State", "Neg", "BinOp", "Call"]
 
 FUNCTION_CATALOG = ("exp", "log", "sin", "cos")
 
+#: deepest expression tree accepted from text: the tree walks here recurse
+#: once per level, and Python's parser takes at most 200 nested parentheses
+MAX_DEPTH = 200
+
 _NUM_FUNCS = {"exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos}
 _JET_FUNCS = {"exp": jet_exp, "log": jet_log, "sin": jet_sin, "cos": jet_cos}
 
@@ -185,8 +189,24 @@ class _Parser:
 
 
 def parse_expr(text: str) -> Expr:
-    """Parse expression text into an immutable tree."""
-    return _Parser(text).parse()
+    """Parse expression text into an immutable tree; text nested past the
+    parser's recursion, or a tree deeper than MAX_DEPTH, is refused."""
+    parser = _Parser(text)
+    try:
+        tree = parser.parse()
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", parser.peek()[2]) from None
+    deepest, stack = 0, [(tree, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        if isinstance(node, BinOp):
+            stack += [(node.left, level + 1), (node.right, level + 1)]
+        elif isinstance(node, (Neg, Call)):
+            stack.append((node.arg, level + 1))
+    if deepest > MAX_DEPTH:
+        raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", 0)
+    return tree
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
@@ -486,7 +506,12 @@ def _source(node: Expr, leaf) -> str:
 
 
 def _compile(source: str):
-    return eval(compile(source, "<rhs>", "eval"), dict(_NUM_FUNCS))
+    try:
+        code = compile(source, "<rhs>", "eval")
+    except (SyntaxError, RecursionError):
+        # only nesting past what Python's parser or compiler takes
+        raise ExprSyntaxError("expression nested too deeply to compile", 0) from None
+    return eval(code, dict(_NUM_FUNCS))
 
 
 def compile_rhs(exprs, params, n_lags: int):

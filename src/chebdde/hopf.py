@@ -7,9 +7,11 @@ collocation ODE (make_system(model, n), interpolated lag solves) alike:
 Newton on the imaginary-axis root condition, transversality/simplicity/
 non-resonance diagnostics, the first Lyapunov coefficient by the three-term
 formula, the branch direction coefficient, pseudo-arclength continuation of
-the critical curve in two parameters, and degree-refinement studies. A
-Newton iterate builds the model once and reads Delta from one jet; a
-located point is diagnosed once, in hopf_point, into HopfPoint's fields.
+the critical curve in two parameters, and degree-refinement studies. One
+Newton corrector over (omega, parameter values) locates points and corrects
+curve points; each iterate builds the model once and reads Delta from one
+jet. A located point is diagnosed once, in hopf_point, into HopfPoint's
+fields.
 """
 
 import math
@@ -61,8 +63,10 @@ RES_TOL = 1e-12
 NONRES_TOL = 1e-8
 K_MAX = 10
 
-#: corrector residual for curve tracing and its smallest admissible step
+#: corrector residual for curve tracing, its iteration budget and the
+#: smallest admissible step
 CURVE_TOL = 1e-10
+_MAX_CORRECTOR = 10
 STEP_FLOOR = 1e-8
 
 
@@ -300,6 +304,70 @@ def hopf_point(cf, param: str, omega: float, alpha: float,
     )
 
 
+def _hopf_rows(cf, omega: float, names) -> tuple:
+    """The one place the Hopf Newton system is assembled, at lambda = i
+    omega: f (Delta for scalars, det Delta for systems), the real rows of
+    the Jacobian of (Re f, Im f) in u = (omega, *values of names), the root
+    residual and D1 Delta."""
+    delta, dl, dalpha = _jet(cf, 1j * omega, names)
+    f, derivs = _root_data(delta, dl, dalpha)
+    fl, *fp = map(complex, derivs)
+    rows = [[-fl.imag, *(g.real for g in fp)], [fl.real, *(g.imag for g in fp)]]
+    return complex(f), rows, _smin(delta), dl
+
+
+def _det(m) -> float:
+    """Determinant of a 2 x 2 or 3 x 3 matrix of Python floats."""
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _hopf_newton(cf, rebuild, names, u, tol: float, budget: int,
+                 border=None) -> tuple:
+    """Newton over u = (omega, *values of names) for a located point and
+    for each corrector of a critical curve: every iterate takes
+    cf = rebuild(cf, u), and border = (t, u_pred) appends the arclength row
+    t . (u - u_pred) = 0. Returns (u, cf, residuals, D1 Delta) once the
+    residual is below tol * (1 + omega). A Newton matrix with |det| below
+    1e-14 times the product of its column norms is singular; a NaN one
+    reaches the finiteness check instead.
+    """
+    u = [float(v) for v in u]  # Python floats: a scalar Newton is overhead-bound
+    residuals = []
+    while True:
+        if not all(map(math.isfinite, u)):
+            raise ConvergenceError("Newton iterate became non-finite")
+        if u[0] <= 0.0:
+            raise ConvergenceError(
+                f"omega collapsed to {u[0]:.3g} <= 0 during the iteration"
+            )
+        if len(residuals) == budget:
+            raise ConvergenceError(
+                f"no critical point within {budget} iterations "
+                f"(residual {residuals[-1]:.2e})"
+            )
+        cf = rebuild(cf, u)
+        f, rows, res, dl = _hopf_rows(cf, u[0], names)
+        residuals.append(res)
+        if res < tol * (1.0 + abs(u[0])):
+            return np.array(u), cf, residuals, dl
+        rhs = [-f.real, -f.imag]
+        if border is not None:
+            t, u_pred = border
+            rows.append(t.tolist())
+            rhs.append(-(t @ np.subtract(u, u_pred)))
+        norms = math.prod(math.hypot(*col) for col in zip(*rows))
+        if abs(_det(rows)) < 1e-14 * (1e-30 + norms):
+            raise SingularityError(
+                f"Newton Jacobian is singular at (omega, {', '.join(names)}) = "
+                f"({', '.join(f'{v:.6g}' for v in u)}): transversality or "
+                "simplicity failure at the root"
+            )
+        u = [a + b for a, b in zip(u, np.linalg.solve(rows, rhs).tolist())]
+
+
 def find_hopf(cf, param: str, omega_guess: float, alpha_guess: float) -> HopfPoint:
     """Newton iteration for a root of the characteristic function on the
     imaginary axis, moving (omega, alpha) jointly.
@@ -313,41 +381,11 @@ def find_hopf(cf, param: str, omega_guess: float, alpha_guess: float) -> HopfPoi
     alpha = float(alpha_guess)
     if omega <= 0.0:
         raise ValueError(f"omega_guess must be positive, got {omega}")
-    cur = _at_alpha(cf, param, alpha)
-    residuals = []
-    for _ in range(MAX_NEWTON):
-        delta, dl, dalpha = _jet(cur, 1j * omega, (param,))
-        f, (flam, falpha) = _root_data(delta, dl, dalpha)
-        res = _smin(delta)
-        residuals.append(res)
-        if res < RES_TOL * (1.0 + abs(omega)):
-            break
-        jac = np.array(
-            [[-flam.imag, falpha.real], [flam.real, falpha.imag]]
-        )
-        detj = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        if abs(detj) < 1e-14 * (1e-30 + abs(flam) * abs(falpha)):
-            raise SingularityError(
-                f"Newton Jacobian is singular at (omega, {param}) = "
-                f"({omega:.6g}, {alpha:.6g}): transversality or simplicity "
-                "failure at the root"
-            )
-        step = np.linalg.solve(jac, [-f.real, -f.imag])
-        omega += step[0]
-        alpha += step[1]
-        if not (math.isfinite(omega) and math.isfinite(alpha)):
-            raise ConvergenceError("Newton iterate became non-finite")
-        if omega <= 0.0:
-            raise ConvergenceError(
-                f"omega collapsed to {omega:.3g} <= 0 during the iteration"
-            )
-        cur = cur.with_param(param, alpha)
-    else:
-        raise ConvergenceError(
-            f"no critical point within {MAX_NEWTON} iterations "
-            f"(residual {residuals[-1]:.2e})"
-        )
-    return hopf_point(cur, param, omega, alpha, tuple(residuals))
+    u, cur, residuals, _ = _hopf_newton(
+        cf, lambda cur, u: _at_alpha(cur, param, u[1]), (param,), (omega, alpha),
+        RES_TOL, MAX_NEWTON,
+    )
+    return hopf_point(cur, param, u[0], u[1], residuals)
 
 
 def _null3(jac: np.ndarray) -> np.ndarray:
@@ -357,61 +395,6 @@ def _null3(jac: np.ndarray) -> np.ndarray:
     if t[np.argmax(np.abs(t))] < 0:
         t = -t
     return t
-
-
-class _CurveSpace:
-    """Shared evaluation context and run counters for one continuation run."""
-
-    def __init__(self, model, names, n):
-        self.model = model
-        self.names = names
-        self.n = n
-        counters = ("corrector_iterates", "halvings", "rebuilds", "newton_steps")
-        self.stats = dict.fromkeys(counters, 0)
-
-    def build(self, u, guess):
-        m = self.model.with_params(
-            **{self.names[0]: float(u[0]), self.names[1]: float(u[1])}
-        )
-        self.stats["rebuilds"] += 1
-        cf = _system(m, self.n, guess=guess)
-        xbar, _, steps = cf._point
-        self.stats["newton_steps"] += steps
-        return cf, xbar
-
-    def fj(self, cf, u):
-        """Newton function value, its real 2x3 Jacobian in (p1, p2, omega),
-        the root residual, and D1 Delta at u."""
-        delta, dl, dalpha = _jet(cf, 1j * u[2], self.names)
-        f, (fl, f1, f2) = _root_data(delta, dl, dalpha)
-        jac = np.array(
-            [[f1.real, f2.real, -fl.imag], [f1.imag, f2.imag, fl.real]]
-        )
-        return f, jac, _smin(delta), dl
-
-    def correct(self, u_pred, tang, guess):
-        """Newton with the arclength constraint tang . (u - u_pred) = 0;
-        returns None on any failure so the caller can shrink the step."""
-        u = np.array(u_pred, dtype=float)
-        for it in range(1, 11):
-            if u[2] <= 0.0 or not np.all(np.isfinite(u)):
-                return None
-            self.stats["corrector_iterates"] += 1
-            try:
-                cf, xbar = self.build(u, guess)
-                f, jac, res, dl = self.fj(cf, u)
-            except ChebddeError:
-                return None
-            if res < CURVE_TOL * (1.0 + abs(u[2])):
-                return u, xbar, res, it - 1, _smin(dl)
-            aug = np.vstack([jac, tang])
-            rhs = -np.array([f.real, f.imag, tang @ (u - u_pred)])
-            try:
-                du = np.linalg.solve(aug, rhs)
-            except np.linalg.LinAlgError:
-                return None
-            u = u + du
-        return None
 
 
 def trace_hopf_curve(model, params, start: HopfPoint, step: float,
@@ -437,19 +420,29 @@ def trace_hopf_curve(model, params, start: HopfPoint, step: float,
     base = model
     if start.param in model.params:
         base = model.with_params(**{start.param: start.alpha})
-    space = _CurveSpace(base, names, n)
-    u0 = np.array(
-        [float(base.params[names[0]]), float(base.params[names[1]]),
-         float(start.omega)]
+    stats = dict.fromkeys(
+        ("corrector_iterates", "halvings", "rebuilds", "newton_steps"), 0
     )
-    cf0, xbar0 = space.build(u0, None)
-    f0, jac0, res0, dl0 = space.fj(cf0, u0)
-    if not res0 < CURVE_TOL * (1.0 + abs(u0[2])):
+
+    def build(u, guess):
+        # every corrector iterate, and the start, rebuilds the model at u
+        stats["rebuilds"] += 1
+        m = base.with_params(**{names[0]: float(u[1]), names[1]: float(u[2])})
+        cf = _system(m, n, guess=guess)
+        stats["newton_steps"] += cf._point[2]
+        return cf
+
+    # u runs (omega, p1, p2); points and last_point read (p1, p2, omega)
+    order = [1, 2, 0]
+    u0 = np.array([float(start.omega), *(float(base.params[k]) for k in names)])
+    cf0 = build(u0, None)
+    _, rows0, res0, dl0 = _hopf_rows(cf0, u0[0], names)
+    if not res0 < CURVE_TOL * (1.0 + abs(u0[0])):
         raise ConvergenceError(
             f"initial point does not satisfy the defining equations "
             f"(residual {res0:.2e})"
         )
-    tangent = _null3(jac0)
+    tangent = _null3(np.array(rows0))
     half = max(0, (int(max_points) - 1) // 2)
 
     def walk(direction):
@@ -457,39 +450,44 @@ def trace_hopf_curve(model, params, start: HopfPoint, step: float,
         prev = u0
         tang = direction * tangent
         h = abs(step)
-        guess = xbar0
+        guess = cf0.equilibrium
         while len(pts) < half:
-            got = None
-            while got is None:
-                u_pred = prev + h * tang
-                got = space.correct(u_pred, tang, guess)
-                if got is None:
-                    h *= 0.5
-                    space.stats["halvings"] += 1
-                    if h < STEP_FLOOR:
-                        raise ContinuationError(
-                            "continuation step underflow near a singular "
-                            f"point after {len(pts)} points",
-                            last_point=tuple(float(v) for v in prev),
-                        )
-            u_new, guess, res, its, simp = got
+            u_pred = prev + h * tang
+            try:
+                u_new, cf, residuals, dl = _hopf_newton(
+                    None, lambda _, u, guess=guess: build(u, guess), names, u_pred,
+                    CURVE_TOL, _MAX_CORRECTOR, (tang, u_pred),
+                )
+            except ChebddeError:
+                h *= 0.5
+                stats["halvings"] += 1
+                if h < STEP_FLOOR:
+                    raise ContinuationError(
+                        "continuation step underflow near a singular "
+                        f"point after {len(pts)} points",
+                        last_point=tuple(float(v) for v in prev[order]),
+                    ) from None
+                continue
             ds = float(np.linalg.norm(u_new - prev))
             if ds < 1e-12:
                 raise ContinuationError(
                     "corrector collapsed onto the previous point",
-                    last_point=tuple(float(v) for v in prev),
+                    last_point=tuple(float(v) for v in prev[order]),
                 )
+            its = len(residuals) - 1
             tang = (u_new - prev) / ds
             pts.append(u_new)
-            diags.append(CurveDiag(residual=res, iterations=its, simplicity=simp))
-            prev = u_new
+            diags.append(CurveDiag(residual=residuals[-1], iterations=its,
+                                   simplicity=_smin(dl)))
+            prev, guess = u_new, cf.equilibrium
             if its <= 4:
                 h = min(h * 2.0, 4.0 * abs(step))
         return pts, diags
 
     back_pts, back_diags = walk(-math.copysign(1.0, step))
     fwd_pts, fwd_diags = walk(math.copysign(1.0, step))
-    points = back_pts[::-1] + [u0] + fwd_pts
+    stats["corrector_iterates"] = stats["rebuilds"] - 1
+    points = np.array(back_pts[::-1] + [u0] + fwd_pts)[:, order]
     diags = (
         back_diags[::-1]
         + [CurveDiag(residual=res0, iterations=0, simplicity=_smin(dl0))]
@@ -500,10 +498,10 @@ def trace_hopf_curve(model, params, start: HopfPoint, step: float,
     ]
     return StabilityCurve(
         names=names,
-        points=np.array(points),
+        points=points,
         steps=np.array(steps),
         diagnostics=tuple(diags),
-        stats=space.stats,
+        stats=stats,
     )
 
 

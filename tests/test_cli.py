@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebdde import cli
+from chebdde.analytic import dde_boundary
 from chebdde.discretize import assemble_An, eigenvalues, make_system
 from chebdde.hopf import find_hopf
 from chebdde.model import blowflies
@@ -500,11 +501,53 @@ def test_fluidflow_without_equilibrium_exits_1(capsys, override):
     assert json.loads(err)["error"] == "no_convergence"
 
 
-def model_file(tmp_path, rhs, hint):
+def model_file(tmp_path, rhs, hint, params=None):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"dim": 1, "delays": [0, 1], "rhs": [rhs],
-                                "params": {}, "equilibrium_hint": [hint]}))
+                                "params": params or {}, "equilibrium_hint": [hint]}))
     return str(path)
+
+
+_NESTED = "(" * 3000 + "x0@1" + ")" * 3000
+
+
+@pytest.mark.parametrize("rhs, expected", [
+    ("-x0@0" + " + 0.001*x0@1" * 194, 0),
+    # compiled, this sum nests past the 200 parentheses Python's parser takes
+    ("-x0@0" + " + 0.001*x0@1" * 197, 1),
+    # a tree deeper than the parse limit, and text past the parser's recursion
+    ("-x0@0" + " + 0.001*x0@1" * 2999, 1),
+    ("-x0@0 + " + _NESTED, 1),
+], ids=["195-terms", "198-terms", "3000-terms", "3000-parentheses"])
+def test_deep_expression_is_a_syntax_error(capsys, tmp_path, rhs, expected):
+    code, out, err = run(capsys, ["eig", "--model", model_file(tmp_path, rhs, 0),
+                                  "--n", "4"])
+    assert code == expected
+    if expected:
+        assert out == ""
+        assert json.loads(err)["error"] == "syntax_error"
+    else:
+        assert err == "" and len(rows_of(out)[1]) == 5
+
+
+def test_deep_history_is_a_syntax_error(capsys):
+    code, out, err = run(capsys, ["simulate", "--model", "blowflies", "--n", "4",
+                                  "--t-end", "1", "--history", "expr:" + _NESTED])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "syntax_error"
+
+
+def test_deep_third_derivative_is_a_syntax_error(capsys, tmp_path):
+    # the rhs and its first two derivatives compile; the third, compiled on
+    # first use for the Lyapunov coefficient, nests past Python's parser
+    b1, b2 = dde_boundary(2.0)
+    rhs = "b1*x0@0 + b2*x0@1 + x0@1^3/(2 + x0@1/(2 + x0@1*" + "-" * 182 + "a))"
+    path = model_file(tmp_path, rhs, 0, {"b1": b1, "b2": b2, "a": 0.5})
+    assert run(capsys, ["eig", "--model", path, "--n", "4"])[0] == 0
+    code, out, err = run(capsys, ["hopf", "--model", path, "--param", "b2", "--analytic",
+                                  "--omega", "2", "--alpha", repr(b2 + 0.05)])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "syntax_error"
 
 
 def test_overflowing_linearization_exits_1(capsys, tmp_path):

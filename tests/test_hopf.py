@@ -535,6 +535,30 @@ def test_curve_run_counters():
         curve.stats["corrector_iterates"])
 
 
+def test_singular_corrector_matrix_halves_the_step(monkeypatch):
+    # the first corrector iterate's Newton matrix gets a zero row, which
+    # numpy's solve would refuse with LinAlgError; the shared guard raises
+    # SingularityError first, and the trace retries with half the step
+    b1s, b2s = dde_boundary(2.0)
+    lin = linear_model(b1s, b2s)
+    start = find_hopf(make_system(lin), "b2", 2.0, b2s + 0.05)
+    rows_at, calls = hopf._hopf_rows, []
+
+    def degenerate(*args):
+        f, rows, res, dl = rows_at(*args)
+        calls.append(res)
+        if len(calls) == 2:  # call 1 is the start point
+            rows[1] = [0.0] * len(rows[1])
+        return f, rows, res, dl
+
+    monkeypatch.setattr(hopf, "_hopf_rows", degenerate)
+    curve = trace_hopf_curve(lin, ("b1", "b2"), start, 0.05, max_points=31)
+    assert curve.stats["halvings"] == 1
+    assert len(curve.points) == 31
+    assert all(d.residual < 1e-10 * (1.0 + w)
+               for d, w in zip(curve.diagnostics, curve.points[:, 2]))
+
+
 def fluidflow_omega(c):
     """Crossing frequency in (0, pi) of the fluid-flow Hopf locus
     k c^2/2 = omega^2, omega tan(omega/2) = 1/c; the left side increases
