@@ -16,11 +16,11 @@ import tempfile
 
 import numpy as np
 
-from ._expr import evaluate, parse_expr
+from ._expr import evaluate, param_names, parse_expr, state_symbols
 from .analytic import admissible_omegas, boundary_points
 from .cheb_mesh import diff_matrix, make_mesh
 from .discretize import assemble_An, charfn_det, eigenvalues, make_system
-from .errors import ChebddeError
+from .errors import ChebddeError, UnknownSymbolError
 from .hopf import convergence_study, find_hopf, trace_hopf_curve
 from .model import get_model
 from .simulate import integrate, period_report, sample_history
@@ -296,6 +296,14 @@ def _history_fn(text, model, parser):
     if len(trees) != model.dim:
         parser.error(f"history has {len(trees)} expressions, model has {model.dim}")
     base = dict(model.params)
+    # checked before any sample, as make_model checks the rhs
+    for tree in trees:
+        unknown = param_names(tree) - {*base, "theta"}
+        if unknown:
+            raise UnknownSymbolError(f"unknown parameters {sorted(unknown)} in the history")
+        if state_symbols(tree):
+            raise UnknownSymbolError("the history is a function of theta alone, "
+                                     "not of state symbols")
 
     def phi(theta):
         env = dict(base)

@@ -21,9 +21,11 @@ Lag solves go through numpy.linalg.solve (LAPACK's gesv), whose bits do not
 depend on the BLAS thread count; no command but the degree-n chart imports
 scipy.linalg, which is most of a one-shot run's start-up time and memory.
 One solve per shift gives the lag solve and the inverse that its
-conditioning guard measures. For a scalar model Delta is 1 x 1, and its
-smallest singular value is computed in the closed form LAPACK's SVD reduces
-to, so it is the same number without the call.
+conditioning guard measures. One SVD answers every question about a
+singular Delta: det Delta and its derivatives, the residual and the kernel
+pair. For a scalar model Delta is 1 x 1, and its smallest singular value is
+computed in the closed form LAPACK's SVD reduces to, so it is the same
+number without the call.
 
 State layout is (y_0, y_1, ..., y_n) blocked by node, each block of size d.
 """
@@ -340,15 +342,27 @@ def charfn_dalpha(ps: PsSystem, lam: complex, param: str):
     return val[0, 0] if ps.dim == 1 else val
 
 
-def _root_data(delta, dl, dalpha=()) -> tuple:
-    """f = Delta for scalars, det Delta for systems, and its derivatives
-    tr(adj(Delta) m) along dl and each m of dalpha; unlike det(Delta)
-    inv(Delta), adj(Delta) stays finite as Delta degenerates."""
+#: the kernel pair (p, q) of every 1 x 1 Delta, shared, so read-only
+_UNIT = np.ones(1, dtype=complex)
+_UNIT.flags.writeable = False
+
+
+def _root_data(delta, *mats) -> tuple:
+    """f = det Delta, its derivatives tr(adj(Delta) m) along each m of mats,
+    the smallest singular value and the unit kernel pair (p, q) with
+    Delta p = 0 = q^T Delta: closed forms for a scalar, else one SVD
+    U S V^H, with det Delta = det(U V^H) prod(s) and adj(Delta) =
+    det(U V^H) V diag(prod_{j != i} s_j) U^H, finite as Delta degenerates.
+    The products run on Python floats, so an overflow is inf, unwarned."""
     if delta.shape[0] == 1:
-        return delta[0, 0], [m[0, 0] for m in (dl, *dalpha)]
-    adj = _adjugate(delta)
-    traces = [complex(np.trace(adj @ m)) for m in (dl, *dalpha)]
-    return complex(np.linalg.det(delta)), traces
+        return delta[0, 0], [m[0, 0] for m in mats], _smin(delta), _UNIT, _UNIT
+    u, s, vh = np.linalg.svd(delta)
+    phase = complex(np.linalg.det(u @ vh))
+    s = s.tolist()
+    cof = [math.prod(s[:i] + s[i + 1:]) for i in range(len(s))]
+    adj = phase * (vh.conj().T * cof) @ u.conj().T
+    traces = [complex(np.trace(adj @ m)) for m in mats]
+    return phase * math.prod(s), traces, s[-1], vh[-1].conj(), u[:, -1].conj()
 
 
 def _smin(mat: np.ndarray) -> float:
@@ -372,44 +386,18 @@ def _smin(mat: np.ndarray) -> float:
     return float(np.linalg.svd(mat, compute_uv=False)[-1])
 
 
-def kernel_vector(mat: np.ndarray) -> np.ndarray:
-    """Unit-norm right null vector (smallest singular direction), with the
-    largest-modulus entry made real positive for determinism."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=complex))
-    _, _, vh = np.linalg.svd(mat)
-    vec = vh[-1].conj()
-    pivot = vec[np.argmax(np.abs(vec))]
-    return vec * (abs(pivot) / pivot)
-
-
 def eigvec_right(ps: PsSystem, lam: complex) -> np.ndarray:
     """Eigenvector (p_star, p_star x_1, ..., p_star x_n) of A_n at lambda,
-    with p_star the kernel vector of Delta_n(lambda)."""
+    with p_star the unit kernel vector of Delta_n(lambda)."""
     _require_degree(ps, "eigvec_right")
     lam = complex(lam)
-    delta = _jet(ps, lam, slope=False)[0]
-    p_star = np.ones(1, dtype=complex) if ps.dim == 1 else kernel_vector(delta)
-    res = np.linalg.norm(delta @ p_star)
-    if res > 1e-8 * (1.0 + abs(lam)) * np.linalg.norm(p_star):
+    _, _, res, p_star, _ = _root_data(_jet(ps, lam, slope=False)[0])
+    if res > 1e-8 * (1.0 + abs(lam)):
         raise ValueError(
             f"lambda={lam} is not a characteristic root (|Delta p|={res:.2e})"
         )
     x = ps.lag_solve(lam)
     return np.concatenate([p_star, np.outer(x, p_star).reshape(-1)])
-
-
-def _adjugate(mat: np.ndarray) -> np.ndarray:
-    d = mat.shape[0]
-    if d == 2:
-        return np.array(
-            [[mat[1, 1], -mat[0, 1]], [-mat[1, 0], mat[0, 0]]], dtype=complex
-        )
-    adj = np.empty_like(mat, dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            minor = np.delete(np.delete(mat, i, 0), j, 1)
-            adj[j, i] = (-1) ** (i + j) * np.linalg.det(minor)
-    return adj
 
 
 def eigvec_left(ps: PsSystem, lam: complex, p: Optional[np.ndarray] = None) -> np.ndarray:
@@ -419,14 +407,14 @@ def eigvec_left(ps: PsSystem, lam: complex, p: Optional[np.ndarray] = None) -> n
     lam = complex(lam)
     delta, dl, _ = _jet(ps, lam)
     # |d/dlambda det Delta_n| at the root
-    if abs(_root_data(delta, dl)[1][0]) < 1e-10 * (1.0 + abs(lam)):
+    _, (slope,), _, _, q_star = _root_data(delta, dl)
+    if abs(slope) < 1e-10 * (1.0 + abs(lam)):
         raise SimplicityError(
             f"characteristic root {lam} is not numerically simple"
         )
     d, n = ps.dim, ps.n
     if p is None:
         p = eigvec_right(ps, lam)
-    q_star = np.ones(1) if d == 1 else kernel_vector(delta.T)
     # rows of R couple q_star back through the delay blocks at each tail node
     r = np.zeros((n, d), dtype=complex)
     for row, mat in zip(ps.op[: len(ps.linear.mats)], ps.linear.mats):

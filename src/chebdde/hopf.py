@@ -14,6 +14,7 @@ jet. A located point is diagnosed once, in hopf_point, into HopfPoint's
 fields.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -28,7 +29,6 @@ from .discretize import (
     _system,
     assemble_An,
     eigenvalues,
-    kernel_vector,
     make_system,
 )
 from .errors import (
@@ -162,27 +162,21 @@ def _at_alpha(cf, param: str, alpha: float):
     return cf
 
 
-def _critical_pair(lam: complex, delta, dl):
-    """Kernel vectors (p, q) of Delta(lam) with p[0] = 1 and
-    q . D1 Delta p = 1, given Delta and D1 Delta at lam."""
-    if delta.shape[0] == 1:
-        p = np.ones(1, dtype=complex)
-        qt = np.ones(1, dtype=complex)
-    else:
-        p = kernel_vector(delta)
-        if abs(p[0]) < 1e-8 * np.linalg.norm(p):
-            raise SimplicityError(
-                "critical eigenvector has a vanishing first component; "
-                "the first-component normalization is unusable here"
-            )
-        p = p / p[0]
-        qt = kernel_vector(delta.T)
-    s = qt @ (dl @ p)
-    if abs(s) < 1e-10 * (1.0 + abs(lam)) * np.linalg.norm(p) * np.linalg.norm(qt):
+def _critical_pair(lam: complex, p, q, dl):
+    """The kernel pair (p, q) of Delta(lam) scaled so p[0] = 1 and
+    q . D1 Delta p = 1, given D1 Delta at lam."""
+    if abs(p[0]) < 1e-8 * np.linalg.norm(p):
+        raise SimplicityError(
+            "critical eigenvector has a vanishing first component; "
+            "the first-component normalization is unusable here"
+        )
+    p = p / p[0]
+    s = q @ (dl @ p)
+    if abs(s) < 1e-10 * (1.0 + abs(lam)) * np.linalg.norm(p) * np.linalg.norm(q):
         raise SimplicityError(
             f"characteristic root {lam} is not numerically simple"
         )
-    return p, qt / s
+    return p, q / s
 
 
 def _lyapunov(cf, omega: float, pair) -> tuple:
@@ -278,14 +272,14 @@ def hopf_point(cf, param: str, omega: float, alpha: float,
     cur = _at_alpha(cf, param, alpha)
     lam = 1j * omega
     delta, dl, _ = _jet(cur, lam)
-    root_res = _smin(delta)
+    _, _, root_res, p, q = _root_data(delta)
     if not root_res < RES_TOL * (1.0 + abs(omega)):
         raise NotARootError(
             f"(omega, {param}) = ({omega:.6g}, {alpha:.6g}) does not solve the "
             f"characteristic equation (residual {root_res:.2e})"
         )
     simplicity = _smin(dl)
-    p, q = _critical_pair(lam, delta, dl)
+    p, q = _critical_pair(lam, p, q, dl)
     dalpha = _dalpha(cur, lam, cur.lag_values(lam), (param,))[0]
     sigma = float((q @ (dalpha @ p)).real)
     c, known = _lyapunov(cur, omega, (p, q))
@@ -310,10 +304,10 @@ def _hopf_rows(cf, omega: float, names) -> tuple:
     the Jacobian of (Re f, Im f) in u = (omega, *values of names), the root
     residual and D1 Delta."""
     delta, dl, dalpha = _jet(cf, 1j * omega, names)
-    f, derivs = _root_data(delta, dl, dalpha)
+    f, derivs, res, _, _ = _root_data(delta, dl, *dalpha)
     fl, *fp = map(complex, derivs)
     rows = [[-fl.imag, *(g.real for g in fp)], [fl.real, *(g.imag for g in fp)]]
-    return complex(f), rows, _smin(delta), dl
+    return complex(f), rows, res, dl
 
 
 def _det(m) -> float:
@@ -332,7 +326,8 @@ def _hopf_newton(cf, rebuild, names, u, tol: float, budget: int,
     t . (u - u_pred) = 0. Returns (u, cf, residuals, D1 Delta) once the
     residual is below tol * (1 + omega). A Newton matrix with |det| below
     1e-14 times the product of its column norms is singular; a NaN one
-    reaches the finiteness check instead.
+    reaches the finiteness check instead, and a non-finite f ends the
+    iteration before any step is taken.
     """
     u = [float(v) for v in u]  # Python floats: a scalar Newton is overhead-bound
     residuals = []
@@ -353,6 +348,8 @@ def _hopf_newton(cf, rebuild, names, u, tol: float, budget: int,
         residuals.append(res)
         if res < tol * (1.0 + abs(u[0])):
             return np.array(u), cf, residuals, dl
+        if not cmath.isfinite(f):
+            raise ConvergenceError("Newton iterate became non-finite")
         rhs = [-f.real, -f.imag]
         if border is not None:
             t, u_pred = border

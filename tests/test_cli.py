@@ -243,6 +243,18 @@ def test_history_error_names_theta_as_a_plain_float(capsys):
     }
 
 
+@pytest.mark.parametrize("history, message", [
+    ("expr:zz", "unknown parameters ['zz'] in the history"),
+    ("expr:x0@0", "the history is a function of theta alone, not of state symbols"),
+], ids=["unknown-name", "state-symbol"])
+def test_history_names_only_parameters_and_theta(capsys, history, message):
+    # refused before any sample is taken, not as a domain error at theta = 0
+    code, out, err = run(capsys, ["simulate", "--model", "blowflies", "--n", "4",
+                                  "--t-end", "5", "--history", history])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "unknown_symbol", "message": message}
+
+
 def test_simulate_rejects_malformed_history(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["simulate", "--model", "blowflies", "--n", "4", "--t-end", "2",
@@ -318,6 +330,8 @@ DEGREE_N_HOPF_ARGVS = [
      "--max-points", "41", "--n", "10"],
     ["converge", "--model", "blowflies", "--param", "beta", "--set", "mu=4",
      "--n-list", "4,6,8,10,12,14,16", "--reference", "analytic"],
+    ["curve", "--model", "fluidflow", "--params", "k,c", "--seed-param", "k",
+     "--omega", "1.2", "--alpha", "1", "--step", "0.1", "--max-points", "41", "--n", "10"],
 ]
 
 
@@ -502,10 +516,49 @@ def test_fluidflow_without_equilibrium_exits_1(capsys, override):
 
 
 def model_file(tmp_path, rhs, hint, params=None):
+    """A model file with delays (0, 1): one rhs text and hint, or lists of them."""
+    rhs, hint = ([rhs], [hint]) if isinstance(rhs, str) else (rhs, hint)
     path = tmp_path / "model.json"
-    path.write_text(json.dumps({"dim": 1, "delays": [0, 1], "rhs": [rhs],
-                                "params": params or {}, "equilibrium_hint": [hint]}))
+    path.write_text(json.dumps({"dim": len(rhs), "delays": [0, 1], "rhs": rhs,
+                                "params": params or {}, "equilibrium_hint": hint}))
     return str(path)
+
+
+#: blowflies in x1 and a stable x0 coupled one way at a = 0.5; the exact and
+#: collocated characteristic matrices are triangular, so one kernel vector
+#: of the critical pair has a zero first component
+_BLOCK_PARAMS = {"mu": 4.0, "beta": 28.0, "a": 0.5}
+_SEARCH = ["--param", "beta", "--omega", "2", "--alpha", "28"]
+
+
+@pytest.mark.parametrize("mode", [["--n", "10"], ["--analytic"]], ids=["n10", "exact"])
+def test_right_kernel_vector_with_zero_first_component_is_not_simple(capsys, tmp_path, mode):
+    # x0 feeds x1, so p = (0, 1): the first-component normalization has
+    # nothing to divide by
+    path = model_file(tmp_path, ["-x0@0", "-mu*x1@0 + beta*x1@1*exp(-x1@1) + a*x0@0"],
+                      [0.0, math.log(7.0)], _BLOCK_PARAMS)
+    code, out, err = run(capsys, ["hopf", "--model", path, *_SEARCH, *mode])
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "not_simple"
+    assert "vanishing first component" in payload["message"]
+
+
+@pytest.mark.parametrize("mode, beta, omega", [
+    (["--analytic"], 35.69347681383814, 2.5704315603359564),
+    (["--n", "10"], 35.693476881142075, 2.5704315601354613),
+], ids=["exact", "n10"])
+def test_left_kernel_vector_with_zero_first_component_is_found(capsys, tmp_path, mode,
+                                                               beta, omega):
+    # x1 feeds x0, so q = (0, 1) while p[0] != 0: the point is the blowfly
+    # Hopf point at mu = 4, reached from the same guess as the scalar model
+    path = model_file(tmp_path, ["-x0@0 + a*x1@0", "-mu*x1@0 + beta*x1@1*exp(-x1@1)"],
+                      [0.5 * math.log(7.0), math.log(7.0)], _BLOCK_PARAMS)
+    code, out, err = run(capsys, ["hopf", "--model", path, *_SEARCH, *mode])
+    assert code == 0 and err == ""
+    point = json.loads(out)
+    assert abs(point["alpha"] - beta) < 1e-10 * beta
+    assert abs(point["omega"] - omega) < 1e-10 * omega
 
 
 _NESTED = "(" * 3000 + "x0@1" + ")" * 3000

@@ -198,17 +198,22 @@ def test_lyapunov_linear_model_degenerate():
     assert h.a2 == 0.0
 
 
-def twoloop_critical():
-    """omega + atan(omega) = pi, g = sqrt(1 + omega^2)."""
-    lo, hi = 1.5, 2.5
+def loop_critical(turn):
+    """omega + atan(omega) = turn, gain sqrt(1 + omega^2): a ring of unit
+    decays whose delayed sine coupling turns the phase by turn."""
+    lo, hi = 0.0, turn
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid + math.atan(mid) < math.pi:
+        if mid + math.atan(mid) < turn:
             lo = mid
         else:
             hi = mid
     w = 0.5 * (lo + hi)
     return w, math.sqrt(1.0 + w * w)
+
+
+def twoloop_critical():
+    return loop_critical(math.pi)
 
 
 def twoloop(g=2.2):
@@ -239,6 +244,29 @@ def test_two_loop_system_closed_form():
     # the other determinant factor has a real unstable root near 0.447
     assert hn.nonresonance.axis_clearance > 0.3
     assert hn.nonresonance.near_axis == ()
+
+
+def test_three_loop_ring_closed_form():
+    # x_i' = -x_i + a sin(x_{i-1}(t-1)), i mod 3: det Delta =
+    # (l+1)^3 - a^3 e^{-3l}, and the factor l + 1 = a e^{-l} e^{2 pi i/3}
+    # crosses the axis first; the coupling is odd, so c is the two-loop form
+    w_star, a_star = loop_critical(2.0 * math.pi / 3.0)
+    c_closed = -(1 + 1j * w_star) / (2 * (2 + 1j * w_star))
+    ring = make_model(
+        3, (0.0, 1.0),
+        ("-x0@0 + a*sin(x2@1)", "-x1@0 + a*sin(x0@1)", "-x2@0 + a*sin(x1@1)"),
+        {"a": 1.5}, equilibrium_hint=[0.0, 0.0, 0.0],
+    )
+    h = find_hopf(make_system(ring), "a", 1.2, 1.5)
+    assert abs(h.omega - w_star) < 1e-12
+    assert abs(h.alpha - a_star) < 1e-12
+    assert abs(h.c - c_closed) < 1e-12
+    assert h.nonresonance.ok
+
+    hn = find_hopf(make_system(ring, 12), "a", 1.2, 1.5)
+    assert abs(hn.omega - w_star) < 1e-10
+    assert abs(hn.alpha - a_star) < 1e-10
+    assert abs(hn.c - c_closed) < 1e-10
 
 
 def test_slaved_component_matches_scalar_coefficient():
