@@ -1,20 +1,25 @@
-"""Exact lag factors of the delay equation and scalar-family closed forms.
+"""Exact lag factors of the delay equation and the scalar-family Hopf chart.
 
 The characteristic function Delta(lambda) = lambda I - sum_k C_k v_k(lambda)
 is shared by the delay equation and its collocation ODE (see discretize);
 the delay equation's lag factors v_k = e^{-lambda tau_k} live here, and the
 transcendental Delta they give serves as the reference oracle. The rest of
 the module charts the scalar delayed-feedback family
-x' = b1 x(t) + b2 x(t-1): Hopf boundary curves (exact and discretized), the
-(b1, b2) <-> (mu, beta) change of parameters for the delayed-recruitment
-interpretation, and first Lyapunov coefficients along the boundary in
-closed form, one chart row per omega of an admissible grid.
+x' = b1 x(t) + b2 x(t-1), one row per omega of an admissible grid: the Hopf
+boundary (b1, b2), the (b1, b2) <-> (mu, beta) change of parameters for the
+delayed-recruitment interpretation, and the first Lyapunov coefficient c.
 
-The discretized curves need the last entry of (D - lambda I)^{-p} D 1 at many
-shifts lambda. D is factored once per degree in real Schur form D = Z T Z^T,
-and up to 512 shifts at a time are one vectorised back substitution against
-T. A chart row solves i omega, with power 2 from the same pass and -i omega
-as its conjugate (T and Z are real), and 2 i omega. No eigendecomposition of
+One formula gives (b1, b2, c) for both problems from the lag factor zeta at
+i omega and 2 i omega and d zeta / d lambda at i omega. Two sources feed it:
+zeta = e^{-lambda} for the delay equation, and at degree n the last entry
+zeta_n of (D - lambda I)^{-1} D 1, which stands where the delay equation
+has e^{-lambda}; the degree-n chart converges as zeta_n does.
+
+The degree-n factors are wanted at many shifts lambda. D is factored once
+per degree in real Schur form D = Z T Z^T, and up to 512 shifts at a time
+are one vectorised back substitution against T. A chart row solves i omega,
+with power 2 (d zeta_n / d lambda) from the same pass and -i omega as its
+conjugate (T and Z are real), and 2 i omega. No eigendecomposition of
 D is used: D is far from normal and its eigenvectors are ill-conditioned,
 while Z is orthogonal. The curve's poles are the eigenvalues of one
 (n-1) x (n-1) matrix per degree, built from D^2. scipy.linalg is imported on
@@ -37,11 +42,9 @@ from .errors import SingularityError
 __all__ = [
     "BoundaryPoint",
     "delta0_lags",
-    "dde_boundary",
-    "ps_boundary",
+    "boundary",
     "to_mu_beta",
-    "c0_blowfly",
-    "cn_blowfly",
+    "c_blowfly",
     "boundary_points",
     "admissible_omegas",
 ]
@@ -55,29 +58,6 @@ def delta0_lags(delays, lam: complex, order: int = 0) -> list:
     if order == 0:
         return [cmath.exp(-lam * tau) for tau in delays]
     return [-tau * cmath.exp(-lam * tau) for tau in delays]
-
-
-def _dde_coeffs(w: np.ndarray) -> tuple:
-    """(b1, b2) of the exact boundary at w, NaN where sin w vanishes, and that mask."""
-    small = np.abs(w) < 1e-4
-    s = np.sin(w)
-    singular = ~small & (np.abs(s) < 1e-9)
-    s = np.where(small | singular, np.nan, s)
-    w2 = w * w
-    b1 = np.where(small, 1.0 - w2 / 3.0 - w2 * w2 / 45.0, w * np.cos(w) / s)
-    b2 = np.where(small, -(1.0 + w2 / 6.0 + 7.0 * w2 * w2 / 360.0), -w / s)
-    return b1, b2, singular
-
-
-def dde_boundary(omega) -> tuple:
-    """Principal Hopf boundary of x' = b1 x + b2 x(t-1) at root i*omega:
-    b1 = omega cos(omega)/sin(omega), b2 = -omega/sin(omega). A series
-    fallback covers |omega| < 1e-4 where the quotient degenerates to 0/0.
-    One omega gives floats, an array gives arrays."""
-    w = np.asarray(omega, dtype=float)
-    b1, b2, singular = _dde_coeffs(w)
-    _raise_at(singular, w, "boundary is singular at omega={w} (multiple of pi)")
-    return (float(b1), float(b2)) if w.ndim == 0 else (b1, b2)
 
 
 _CHUNK = 512  # shifts per sweep at most: work arrays of n x 512 complex, 320 KiB at n = 40
@@ -182,26 +162,36 @@ def _raise_at(bad, omega, message: str, error=SingularityError) -> None:
         raise error(message.format(w=float(np.ravel(omega)[bad.argmax()])))
 
 
-def _ps_coeffs(w: np.ndarray, zn) -> tuple:
-    """(b1, b2) of the degree-n boundary at the frequencies w from zeta_n at
-    i w, NaN where Im zeta_n vanishes, and the mask of those frequencies."""
-    singular = np.abs(zn.imag) < 1e-13 * np.maximum(1.0, np.abs(zn))
-    im = np.where(singular, np.nan, zn.imag)
-    return -w * zn.real / im, w / im, singular
+def _zeta(n: Optional[int], w, slope: bool = False):
+    """Lag factor zeta at i w, with d zeta / d lambda there as a pair when
+    slope is set: e^{-i w} and -e^{-i w} for the delay equation (n None),
+    the last entry of (D - i w I)^{-p} D 1 at p = 1 and 2 at degree n."""
+    if n is None:
+        z = np.cos(w) - 1j * np.sin(w)
+        return (z, -z) if slope else z
+    return tuple(_lag_powers(n, 1j * w, 2)) if slope else lag_solve_last(n, 1j * w)
 
 
-def _ps_boundary(w: np.ndarray, zn) -> tuple:
-    b1, b2, singular = _ps_coeffs(w, zn)
-    _raise_at(singular, w, "discrete boundary is singular at omega={w} (Im zeta_n = 0)")
+def _coeffs(w: np.ndarray, z, strict: bool = True) -> tuple:
+    """(b1, b2) = (-w Re zeta / Im zeta, w / Im zeta) of the boundary at the
+    frequencies w from zeta at i w, floats for one omega. Where Im zeta
+    vanishes the boundary is singular: strict raises there, else those
+    entries are NaN."""
+    singular = np.abs(z.imag) < 1e-13 * np.maximum(1.0, np.abs(z))
+    if strict:
+        _raise_at(singular, w, "boundary is singular at omega={w} (Im zeta = 0)")
+    im = np.where(singular, np.nan, z.imag)
+    b1, b2 = -w * z.real / im, w / im
     return (float(b1), float(b2)) if w.ndim == 0 else (b1, b2)
 
 
-def ps_boundary(n: int, omega) -> tuple:
-    """Hopf boundary of the degree-n collocation ODE, from the last entry of
-    zeta = (D - i omega I)^{-1} D 1: b1 = -omega Re zeta_n / Im zeta_n,
-    b2 = omega / Im zeta_n. One omega gives floats, an array gives arrays."""
+def boundary(omega, n: Optional[int] = None) -> tuple:
+    """Principal Hopf boundary of x' = b1 x + b2 x(t-1) at root i omega, of the
+    delay equation (n None: b1 = omega cot omega, b2 = -omega / sin omega)
+    or of its degree-n collocation ODE. One omega gives floats, an array
+    gives arrays."""
     w = np.asarray(omega, dtype=float)
-    return _ps_boundary(w, lag_solve_last(n, 1j * w))
+    return _coeffs(w, _zeta(n, w))
 
 
 _NEEDS_MU = "b1={w} >= 0: interpretation as population parameters needs mu > 0"
@@ -221,64 +211,34 @@ def to_mu_beta(b1: float, b2: float) -> tuple:
     return (-b1, beta)
 
 
-def _g_derivatives(b1, b2) -> tuple:
-    """Second and third derivative of the recruitment nonlinearity at the
-    positive equilibrium, mu ln(beta/mu) - 2 mu and -mu ln(beta/mu) + 3 mu,
-    rewritten via mu = -b1 and mu ln(beta/mu) = -(b1 + b2) so they stay
-    finite at the boundary ends where beta itself overflows. Elementwise on
-    arrays; the error names the first b1 >= 0. A float b1 < 0 skips the array
-    test, which would cost more than the rest of an exact chart row."""
-    if not (isinstance(b1, float) and b1 < 0.0):
-        _raise_at(np.asarray(b1) >= 0.0, b1, _NEEDS_MU, ValueError)
-    return (b1 - b2, -2.0 * b1 + b2)
-
-
-def c0_blowfly(omega: float) -> complex:
-    """First Lyapunov coefficient along the exact boundary, pi/2 < omega < pi."""
-    w = float(omega)
-    return _c0(w, *dde_boundary(w))
-
-
-def _c0(w: float, b1: float, b2: float) -> complex:
-    """c0_blowfly at omega = w from its boundary point (b1, b2)."""
-    if abs(b1 + b2) < 1e-12:
-        raise SingularityError(f"transcritical point at omega={w}: b1 + b2 = 0")
-    d2, d3 = _g_derivatives(b1, b2)
-    e1 = cmath.exp(-1j * w)
-    den1 = 1.0 + b2 * e1
-    if abs(den1) < 1e-12:
-        raise SingularityError(f"B10 denominator vanishes at omega={w}")
-    b10 = e1 / den1
-    e2 = cmath.exp(-2j * w)
-    den2 = 2j * w - b1 - b2 * e2
-    if abs(den2) < 1e-12:
-        raise SingularityError(f"B20 denominator vanishes at omega={w}")
-    b20 = e2 / den2 * b10
-    return 0.5 * d3 * b10 - d2 * d2 / (b1 + b2) * b10 + 0.5 * d2 * d2 * b20
-
-
-def _ps_chart(n: int, w: np.ndarray) -> tuple:
-    """(b1, b2, c) on the degree-n boundary. The solve at 2 i w mirrors the
-    exact B20; with the one at i w, c would not converge to the exact one."""
-    z_plus, z_sq = _lag_powers(n, 1j * w, 2)
-    b1, b2 = _ps_boundary(w, z_plus)
+def _chart(n: Optional[int], w: np.ndarray) -> tuple:
+    """(b1, b2, c) on the boundary at the frequencies w from zeta and
+    zeta' = d zeta / d lambda at i w and zeta at 2 i w. d2 and d3 are the
+    recruitment term's second and third derivatives at the equilibrium with
+    mu = -b1 and mu ln(beta/mu) = -(b1 + b2), finite where beta overflows.
+    With |zeta| = 1, zeta^2 conj(zeta) / (1 - b2 zeta') is the delay
+    equation's B10 = e^{-i w} / (1 + b2 e^{-i w})."""
+    z, dz = _zeta(n, w, slope=True)
+    b1, b2 = _coeffs(w, z)
     _raise_at(np.abs(b1 + b2) < 1e-12, w, "transcritical point at omega={w}: b1 + b2 = 0")
-    d2, d3 = _g_derivatives(b1, b2)
-    den1 = 1.0 - b2 * z_sq
+    _raise_at(b1 >= 0.0, b1, _NEEDS_MU, ValueError)
+    d2, d3 = b1 - b2, -2.0 * b1 + b2
+    den1 = 1.0 - b2 * dz
     _raise_at(np.abs(den1) < 1e-12, w, "B1n denominator vanishes at omega={w}")
-    b1n = z_plus * z_plus * z_plus.conjugate() / den1
-    z2 = lag_solve_last(n, 2j * w)
+    b1n = z * z * z.conjugate() / den1
+    z2 = _zeta(n, 2.0 * w)
     den2 = 2j * w - b1 - b2 * z2
     _raise_at(np.abs(den2) < 1e-12, w, "B2n denominator vanishes at omega={w}")
     b2n = z2 / den2 * b1n
     return b1, b2, 0.5 * d3 * b1n - d2 * d2 / (b1 + b2) * b1n + 0.5 * d2 * d2 * b2n
 
 
-def cn_blowfly(n: int, omega):
-    """First Lyapunov coefficient along the degree-n discretized boundary; one
-    omega gives a complex, an array gives an array."""
+def c_blowfly(omega, n: Optional[int] = None):
+    """First Lyapunov coefficient along the Hopf boundary of the delay
+    equation (n None) or of its degree-n collocation ODE; one omega gives a
+    complex, an array gives an array."""
     w = np.asarray(omega, dtype=float)
-    c = _ps_chart(n, w)[2]
+    c = _chart(n, w)[2]
     return complex(c) if w.ndim == 0 else c
 
 
@@ -303,13 +263,8 @@ def boundary_points(omegas, n: Optional[int] = None) -> list:
     interpretation fails (b1 >= 0).
     """
     w = np.asarray(omegas, dtype=float).ravel()
-    if n is None:
-        b1, b2 = dde_boundary(w)
-        c = [_c0(*map(float, row)) for row in zip(w, b1, b2)]
-    else:
-        b1, b2, c = _ps_chart(n, w)
     points = []
-    for x, y1, y2, cx in zip(w, b1, b2, c):
+    for x, y1, y2, cx in zip(w, *_chart(n, w)):
         y1, y2 = float(y1), float(y2)
         mu, beta = to_mu_beta(y1, y2)
         points.append(BoundaryPoint(float(x), y1, y2, mu, beta, float(cx.real)))
@@ -337,10 +292,9 @@ def admissible_omegas(
         if first <= last:
             k = np.clip(np.round(grid / math.pi), float(first), float(last))
             near = np.abs(grid - k * math.pi) <= margin
-        b1, _, _ = _dde_coeffs(grid)  # NaN where the boundary is singular
     else:
         for pole in _chart_poles(n):
             if lo <= pole <= hi:
                 near |= np.abs(grid - pole) <= margin
-        b1, _, _ = _ps_coeffs(grid, lag_solve_last(n, 1j * grid))
+    b1 = _coeffs(grid, _zeta(n, grid), strict=False)[0]  # NaN where singular
     return grid[~near & (b1 < 0.0)]

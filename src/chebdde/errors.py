@@ -79,6 +79,13 @@ class SimplicityError(ChebddeError):
     code = "not_simple"
 
 
+class NormalizationError(ChebddeError):
+    """The critical eigenvector has no first component to normalize the
+    Lyapunov coefficient by; the root itself may be simple."""
+
+    code = "unnormalizable"
+
+
 class ResonanceError(ChebddeError):
     """A resonant denominator (Delta(0) or Delta(2i*omega)) is singular."""
 

@@ -36,6 +36,7 @@ from .errors import (
     ConditioningError,
     ContinuationError,
     ConvergenceError,
+    NormalizationError,
     NotARootError,
     ResonanceError,
     SimplicityError,
@@ -164,9 +165,10 @@ def _at_alpha(cf, param: str, alpha: float):
 
 def _critical_pair(lam: complex, p, q, dl):
     """The kernel pair (p, q) of Delta(lam) scaled so p[0] = 1 and
-    q . D1 Delta p = 1, given D1 Delta at lam."""
+    q . D1 Delta p = 1, given D1 Delta at lam. A vanishing p[0] is refused
+    before the simplicity test: that root may be simple."""
     if abs(p[0]) < 1e-8 * np.linalg.norm(p):
-        raise SimplicityError(
+        raise NormalizationError(
             "critical eigenvector has a vanishing first component; "
             "the first-component normalization is unusable here"
         )

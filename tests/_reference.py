@@ -11,9 +11,14 @@ cardinal row of the mesh and the model's compiled derivative tensors).
   coefficient contracts the tensors itself.
 - The closed-form eigenvalue crossing speed along the n = 2 Hopf boundary
   of the scalar family x' = b1 x(t) + b2 x(t-1).
+- The delay equation's Hopf boundary of that family and the blowfly
+  Lyapunov coefficient along it, in closed form with the math module.
 """
 
 from __future__ import annotations
+
+import cmath
+import math
 
 import numpy as np
 
@@ -115,3 +120,27 @@ def lambda_prime_n2_re(omega: float) -> float:
     """Closed-form real part of the crossing speed: (14-2 b1)/(4 w^2+(6-2 b1)^2)."""
     w, b1 = _b1_n2(omega)
     return (14.0 - 2.0 * b1) / (4.0 * w * w + (6.0 - 2.0 * b1) ** 2)
+
+
+def exact_boundary(omega: float) -> tuple:
+    """(b1, b2) = (omega cot omega, -omega / sin omega): the delay equation's
+    Hopf boundary of x' = b1 x + b2 x(t-1) at root i omega."""
+    w = float(omega)
+    s = math.sin(w)
+    return (w * math.cos(w) / s, -w / s)
+
+
+def exact_c(omega: float) -> complex:
+    """First Lyapunov coefficient of the blowfly equation along the delay
+    equation's boundary: c = d3/2 B10 - d2^2/(b1 + b2) B10 + d2^2/2 B20 with
+    B10 = e^{-i w} / (1 + b2 e^{-i w}) and
+    B20 = e^{-2 i w} / (2 i w - b1 - b2 e^{-2 i w}) B10, where
+    d2 = b1 - b2 and d3 = b2 - 2 b1 are the recruitment term's second and
+    third derivatives at the equilibrium."""
+    w = float(omega)
+    b1, b2 = exact_boundary(w)
+    d2, d3 = b1 - b2, b2 - 2.0 * b1
+    e1, e2 = cmath.exp(-1j * w), cmath.exp(-2j * w)
+    b10 = e1 / (1.0 + b2 * e1)
+    b20 = e2 / (2j * w - b1 - b2 * e2) * b10
+    return 0.5 * d3 * b10 - d2 * d2 / (b1 + b2) * b10 + 0.5 * d2 * d2 * b20

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from chebdde.analytic import admissible_omegas, cn_blowfly, ps_boundary
+from chebdde.analytic import admissible_omegas, boundary, c_blowfly
 from chebdde.cheb_mesh import diff_matrix, make_mesh
 from chebdde.discretize import (
     assemble_An,
@@ -110,7 +110,7 @@ def test_criterion_1_exact_formula_reproduction():
     e_b = 0.0
     for n, closed, hi in ((2, boundary_n2, 3.9), (3, boundary_n3, 2.95)):
         for w in np.linspace(0.05, hi, 100):
-            got = ps_boundary(n, w)
+            got = boundary(w, n)
             want = closed(w)
             scale = max(1.0, abs(want[0]), abs(want[1]))
             e_b = max(e_b, abs(got[0] - want[0]) / scale, abs(got[1] - want[1]) / scale)
@@ -155,7 +155,7 @@ def test_criterion_4_lyapunov_sign():
     for n in (2, 3):
         omegas = admissible_omegas(math.pi / 2, math.pi, 50, n)
         counts.append(len(omegas))
-        worst_n.append(max(cn_blowfly(n, w).real for w in omegas))
+        worst_n.append(max(c_blowfly(w, n).real for w in omegas))
     ok = worst0 < 0 and all(w < 0 for w in worst_n) and all(c >= 30 for c in counts)
     report(4, ok, f"max Re c_0 = {worst0:.4f}, max Re c_n = "
                   f"{['%.4f' % w for w in worst_n]} on {counts} admissible points")
@@ -195,7 +195,7 @@ def test_criterion_6_boundary_geometry():
 
     w_tiny = 1e-6
     gap0 = max(abs(exact_boundary(w_tiny)[0] - 1), abs(exact_boundary(w_tiny)[1] + 1))
-    got = ps_boundary(10, w_tiny)
+    got = boundary(w_tiny, 10)
     gap_n = max(abs(got[0] - 1), abs(got[1] + 1))
 
     ok = covered and sup < 1e-4 and gap0 < 1e-4 and gap_n < 1e-4

@@ -9,19 +9,17 @@ from hypothesis import strategies as st
 from chebdde import analytic
 from chebdde.analytic import (
     admissible_omegas,
+    boundary,
     boundary_points,
-    c0_blowfly,
-    cn_blowfly,
-    dde_boundary,
+    c_blowfly,
     lag_solve_last,
-    ps_boundary,
     to_mu_beta,
 )
 from chebdde.cheb_mesh import diff_matrix, make_mesh
 from chebdde.discretize import charfn_dalpha, charfn_dlambda, charfn_eval, make_system
 from chebdde.errors import SingularityError
 from chebdde.model import blowflies, fluidflow, make_model
-from _reference import lambda_prime_n2, lambda_prime_n2_re
+from _reference import exact_boundary, exact_c, lambda_prime_n2, lambda_prime_n2_re
 
 MU, BETA = 3.0, 30.0
 B1 = -MU
@@ -126,38 +124,42 @@ def test_delta0_fluidflow_matrix():
 
 
 def test_dde_boundary_examples():
-    b1, b2 = dde_boundary(math.pi / 2)
+    b1, b2 = boundary(math.pi / 2)
     assert abs(b1) < 1e-15 and abs(b2 + math.pi / 2) < 1e-15
-    b1, b2 = dde_boundary(2 * math.pi / 3)
+    b1, b2 = boundary(2 * math.pi / 3)
     assert abs(b1 + 2 * math.pi / (3 * math.sqrt(3.0))) < 1e-14
     assert abs(b2 + 4 * math.pi / (3 * math.sqrt(3.0))) < 1e-14
 
 
 def test_dde_boundary_small_omega():
-    b1, b2 = dde_boundary(1e-6)
+    # the quotient needs no series near 0: it meets the limit (1, -1), and
+    # only where Im e^{-i omega} is below 1e-13 is the boundary singular
+    b1, b2 = boundary(1e-6)
     assert abs(b1 - 1.0) < 1e-9 and abs(b2 + 1.0) < 1e-9
-    # series and direct formula agree across the switch at 1e-4
-    lo = dde_boundary(9.9e-5)
-    hi = dde_boundary(1.01e-4)
+    lo = boundary(9.9e-5)
+    hi = boundary(1.01e-4)
     assert abs(lo[0] - hi[0]) < 1e-8 and abs(lo[1] - hi[1]) < 1e-8
+    for w in (0.0, 1e-14, -9e-14):
+        with pytest.raises(SingularityError, match="Im zeta = 0"):
+            boundary(w)
 
 
 def test_dde_boundary_singularities():
     for w in (math.pi, 2 * math.pi, -math.pi):
         with pytest.raises(SingularityError):
-            dde_boundary(w)
+            boundary(w)
 
 
 def test_dde_boundary_closes_delta0():
     for w in (0.5, 2.0, 2.9):
-        b1, b2 = dde_boundary(w)
+        b1, b2 = boundary(w)
         cf = make_system(scalar_linear(b1, b2), equilibrium=[0.0])
         assert abs(charfn_eval(cf, 1j * w)) < 1e-14 * (1.0 + abs(w))
 
 
 def test_ps_boundary_n2_closed_form():
     for w in np.linspace(0.2, 3.9, 20):
-        b1, b2 = ps_boundary(2, w)
+        b1, b2 = boundary(w, 2)
         w2 = w * w
         cb1 = (7.0 * w2 - 16.0) / (w2 - 16.0)
         cb2 = w2 - 4.0 + 3.0 * (7.0 * w2 - 16.0) / (w2 - 16.0)
@@ -170,26 +172,26 @@ def test_ps_boundary_n3_closed_form():
         den = 9.0 * w**4 - 1088.0 * w**2 + 9216.0
         cb1 = 17.0 + 2048.0 * (7.0 * w**2 - 72.0) / den
         cb2 = -(9.0 * w**6 - 23.0 * w**4 + 448.0 * w**2 + 9216.0) / den
-        b1, b2 = ps_boundary(3, w)
+        b1, b2 = boundary(w, 3)
         assert abs(b1 - cb1) <= 1e-12 * (1.0 + abs(cb1))
         assert abs(b2 - cb2) <= 1e-12 * (1.0 + abs(cb2))
 
 
 def test_ps_boundary_small_omega_limit():
     for n in (2, 5, 9, 20):
-        b1, b2 = ps_boundary(n, 1e-6)
+        b1, b2 = boundary(1e-6, n)
         assert abs(b1 - 1.0) < 1e-4 and abs(b2 + 1.0) < 1e-4
 
 
 def test_ps_boundary_singular_omega():
     with pytest.raises(SingularityError):
-        ps_boundary(2, 4.0)
+        boundary(4.0, 2)
 
 
 def test_ps_boundary_closes_charfn():
     for n in (2, 3, 6, 10):
         for w in (0.7, 1.9, 2.8):
-            b1, b2 = ps_boundary(n, w)
+            b1, b2 = boundary(w, n)
             cf = make_system(scalar_linear(b1, b2), n, equilibrium=[0.0])
             assert abs(charfn_eval(cf, 1j * w)) < 1e-12 * (1.0 + abs(w) + abs(b2))
 
@@ -199,8 +201,8 @@ def test_ps_boundary_converges_to_dde():
     for n in (5, 10):
         worst = 0.0
         for w in np.linspace(0.1, 3.0, 120):
-            d = dde_boundary(w)
-            p = ps_boundary(n, w)
+            d = boundary(w)
+            p = boundary(w, n)
             worst = max(worst, abs(d[0] - p[0]), abs(d[1] - p[1]))
         sup[n] = worst
     assert sup[10] < 1e-6
@@ -230,15 +232,15 @@ def test_to_mu_beta():
 def test_c0_negative_along_boundary():
     grid = np.linspace(math.pi / 2 + 1e-3, math.pi - 1e-3, 50)
     for w in grid:
-        b1, b2 = dde_boundary(w)
+        b1, b2 = boundary(w)
         assert abs(1.0 + b2 * cmath.exp(-1j * w)) > 1e-3
-        assert c0_blowfly(w).real < 0.0
+        assert c_blowfly(w).real < 0.0
 
 
 def test_c0_frozen_value():
     # regression anchor at omega = 2.2 (computed once, cross-checked against
     # the general normal-form machinery in the bifurcation tests)
-    c = c0_blowfly(2.2)
+    c = c_blowfly(2.2)
     assert abs(c - (-0.17203195295854026 - 0.0530452301128744j)) < 1e-12
 
 
@@ -247,14 +249,20 @@ def test_cn_negative_on_admissible_grid():
         ws = admissible_omegas(math.pi / 2 + 0.01, math.pi - 0.01, 60, n=n)
         assert len(ws) > 40
         for w in ws:
-            assert cn_blowfly(n, w).real < 0.0
+            assert c_blowfly(w, n).real < 0.0
 
 
 def test_cn_converges_to_c0():
-    c0 = c0_blowfly(2.2)
-    diffs = [abs(cn_blowfly(n, 2.2) - c0) for n in (4, 6, 8, 10)]
-    assert all(b < a for a, b in zip(diffs, diffs[1:]))
-    assert diffs[-1] < 1e-7
+    # one chart formula read with zeta_n and with e^{-lambda}: as zeta_n
+    # converges, so do the degree-n boundary and c, monotonically
+    degrees = (4, 6, 8, 10, 12)
+    for w in (1.7, 2.2, 2.9):
+        c0, b0 = c_blowfly(w), boundary(w)
+        c_err = [abs(c_blowfly(w, n) - c0) for n in degrees]
+        b_err = [max(abs(x - y) for x, y in zip(boundary(w, n), b0)) for n in degrees]
+        for errs in (c_err, b_err):
+            assert all(b < a for a, b in zip(errs, errs[1:]))
+            assert errs[-1] < 1e-9
 
 
 def test_lambda_prime_positive_crossing():
@@ -288,10 +296,10 @@ def test_admissible_omegas_excludes_singularity():
 
 def test_boundary_point_exact_curve():
     pt = boundary_points([2.0])[0]
-    b1, b2 = dde_boundary(2.0)
+    b1, b2 = boundary(2.0)
     assert pt.b1 == b1 and pt.b2 == b2
     assert abs(pt.mu + b1) < 1e-15
-    assert pt.re_c == c0_blowfly(2.0).real
+    assert pt.re_c == c_blowfly(2.0).real
 
 
 @settings(max_examples=80)
@@ -330,13 +338,13 @@ def test_lag_solve_last_keeps_shape_across_chunks():
 
 def test_batched_boundary_names_first_singular_omega():
     # the n=2 curve has its pole at omega = 4
-    b1, b2 = ps_boundary(2, np.array([1.0, 2.0]))
+    b1, b2 = boundary(np.array([1.0, 2.0]), 2)
     assert b1.shape == b2.shape == (2,)
-    assert (b1[1], b2[1]) == ps_boundary(2, 2.0)
+    assert (b1[1], b2[1]) == boundary(2.0, 2)
     with pytest.raises(SingularityError, match=r"omega=4\.0 "):
-        ps_boundary(2, np.array([1.0, 4.0, 5.0, 4.0]))
+        boundary(np.array([1.0, 4.0, 5.0, 4.0]), 2)
     with pytest.raises(SingularityError, match=r"omega=4\.0 "):
-        cn_blowfly(2, np.array([2.0, 4.0]))
+        c_blowfly(np.array([2.0, 4.0]), 2)
 
 
 @pytest.mark.parametrize("n, sizes", [(40, (300, 1000, 1001, 1234, 8000)), (200, (300, 1001, 1234))])
@@ -352,9 +360,9 @@ def test_lag_solve_last_bits_do_not_depend_on_sweep_width(n, sizes, monkeypatch)
 
 def old_order_chart(n, w):
     """Reference (b1, b2, c) of the degree-n chart: one public solve per shift
-    set and power, including -i w, assembled in cn_blowfly's order."""
+    set and power, including -i w, assembled in the chart's order."""
     w = np.asarray(w, dtype=float)
-    b1, b2 = ps_boundary(n, w)
+    b1, b2 = boundary(w, n)
     d2, d3 = b1 - b2, -2.0 * b1 + b2
     z_plus = lag_solve_last(n, 1j * w)
     z_minus = lag_solve_last(n, -1j * w)
@@ -369,14 +377,14 @@ def old_order_chart(n, w):
 def test_one_pass_chart_equals_the_separate_solves(n, lo, hi):
     w = np.linspace(lo, hi, 1000)
     b1, b2, c = old_order_chart(n, w)
-    assert np.array_equal(cn_blowfly(n, w), c)
-    assert all(np.array_equal(x, y) for x, y in zip(ps_boundary(n, w), (b1, b2)))
+    assert np.array_equal(c_blowfly(w, n), c)
+    assert all(np.array_equal(x, y) for x, y in zip(boundary(w, n), (b1, b2)))
     points = boundary_points(w, n)
     assert [p.b1 for p in points] == list(b1) and [p.b2 for p in points] == list(b2)
     assert [p.re_c for p in points] == list(c.real)
     for x in w[::97]:
-        assert cn_blowfly(n, x) == old_order_chart(n, x)[2]
-        assert ps_boundary(n, x) == old_order_chart(n, x)[:2]
+        assert c_blowfly(x, n) == old_order_chart(n, x)[2]
+        assert boundary(x, n) == old_order_chart(n, x)[:2]
 
 
 def test_one_pass_chart_names_the_n2_pole():
@@ -384,45 +392,40 @@ def test_one_pass_chart_names_the_n2_pole():
     w = np.linspace(3.0, 5.0, 201)
     with pytest.raises(SingularityError) as old:
         old_order_chart(2, w)
-    for chart in (cn_blowfly, ps_boundary, lambda n, x: boundary_points(x, n)):
+    for chart in (c_blowfly, boundary, boundary_points):
         with pytest.raises(SingularityError, match=r"omega=4\.0 ") as new:
-            chart(2, w)
+            chart(w, 2)
         assert str(new.value) == str(old.value)
 
 
-def math_dde_boundary(w):
-    """Reference for dde_boundary: the scalar closed form with the math module."""
-    if abs(w) < 1e-4:
-        w2 = w * w
-        return (1.0 - w2 / 3.0 - w2 * w2 / 45.0, -(1.0 + w2 / 6.0 + 7.0 * w2 * w2 / 360.0))
-    s = math.sin(w)
-    if abs(s) < 1e-9:
-        raise SingularityError(f"boundary is singular at omega={w} (multiple of pi)")
-    return (w * math.cos(w) / s, -w / s)
-
-
 def test_array_dde_boundary_equals_scalar_calls():
+    # b1 and b2 bit for bit against the math-module closed forms, from an
+    # array call, scalar calls and a 2-d array alike
     rng = np.random.default_rng(5)
     w = np.concatenate([rng.uniform(-9.0, 9.0, 2000), rng.uniform(-2e-4, 2e-4, 200),
-                        [0.0, 1e-4, -1e-4, 9.99e-5, 1.6, 3.1]])
-    b1, b2 = dde_boundary(w)
+                        [1e-4, -1e-4, 9.99e-5, 1.6, 3.1, math.pi - 1e-11, 1e-12]])
+    b1, b2 = boundary(w)
     for x, y1, y2 in zip(w, b1, b2):
-        assert dde_boundary(x) == math_dde_boundary(x) == (y1, y2)
-    got = dde_boundary(w[:2200].reshape(11, 200))
+        assert boundary(x) == exact_boundary(x) == (y1, y2)
+    got = boundary(w[:2200].reshape(11, 200))
     assert np.array_equal(got[1], b2[:2200].reshape(11, 200))
-    bad = np.array([2.0, 0.0, 2 * math.pi, 1e-5, math.pi, 3 * math.pi])
-    with pytest.raises(SingularityError) as err:
-        dde_boundary(bad)
-    with pytest.raises(SingularityError) as want:
-        math_dde_boundary(2 * math.pi)
-    assert str(err.value) == str(want.value)
+    # 0 and the multiples of pi, where |sin omega| < 1e-13, are singular;
+    # the error names the first of them
+    bad = np.array([2.0, 1e-5, 2 * math.pi, 0.0, math.pi, 3 * math.pi])
+    with pytest.raises(SingularityError, match=f"omega={2 * math.pi} "):
+        boundary(bad)
 
 
 def test_exact_boundary_points_equal_scalar_calls():
     w = admissible_omegas(1.58, 3.1, 1000)
     points = boundary_points(w)
-    assert [(p.b1, p.b2) for p in points] == [math_dde_boundary(x) for x in w]
-    assert [p.re_c for p in points] == [c0_blowfly(x).real for x in w]
+    assert [(p.b1, p.b2) for p in points] == [exact_boundary(x) for x in w]
+    c = c_blowfly(w)
+    assert [p.re_c for p in points] == list(c.real)
+    for x, got in zip(w, c):
+        want = exact_c(x)
+        assert abs(got - want) <= 1e-15 * abs(want)
+        assert abs(c_blowfly(x) - want) <= 1e-15 * abs(want)
 
 
 def test_exact_boundary_points_name_the_first_pole_then_the_first_b1():
@@ -504,7 +507,7 @@ def test_exact_pole_filter_matches_full_list():
             if any(abs(w - s) <= margin for s in sing):
                 continue
             try:
-                b1, _ = dde_boundary(w)
+                b1, _ = boundary(w)
             except SingularityError:
                 continue
             if b1 < 0.0:
@@ -532,7 +535,7 @@ def test_chart_poles_match_the_per_point_scan(n, lo, hi):
 def test_degree_one_chart_has_no_poles():
     assert analytic._chart_poles(1) == ()
     grid = np.linspace(1.6, 3.1, 50)
-    assert np.array_equal(admissible_omegas(1.6, 3.1, 50, n=1), grid[ps_boundary(1, grid)[0] < 0.0])
+    assert np.array_equal(admissible_omegas(1.6, 3.1, 50, n=1), grid[boundary(grid, 1)[0] < 0.0])
 
 
 def test_chart_poles_need_a_nonzero_last_entry_of_d1(monkeypatch):

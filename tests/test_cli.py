@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebdde import cli
-from chebdde.analytic import dde_boundary
+from chebdde.analytic import boundary
 from chebdde.discretize import assemble_An, eigenvalues, make_system
 from chebdde.hopf import find_hopf
 from chebdde.model import blowflies
@@ -532,15 +532,16 @@ _SEARCH = ["--param", "beta", "--omega", "2", "--alpha", "28"]
 
 
 @pytest.mark.parametrize("mode", [["--n", "10"], ["--analytic"]], ids=["n10", "exact"])
-def test_right_kernel_vector_with_zero_first_component_is_not_simple(capsys, tmp_path, mode):
+def test_right_kernel_vector_with_zero_first_component_is_unnormalizable(capsys, tmp_path, mode):
     # x0 feeds x1, so p = (0, 1): the first-component normalization has
-    # nothing to divide by
+    # nothing to divide by. The root is simple (the x1 block is the blowfly
+    # equation), so the refusal has its own code, not not_simple
     path = model_file(tmp_path, ["-x0@0", "-mu*x1@0 + beta*x1@1*exp(-x1@1) + a*x0@0"],
                       [0.0, math.log(7.0)], _BLOCK_PARAMS)
     code, out, err = run(capsys, ["hopf", "--model", path, *_SEARCH, *mode])
     assert code == 1 and out == ""
     payload = json.loads(err)
-    assert payload["error"] == "not_simple"
+    assert payload["error"] == "unnormalizable"
     assert "vanishing first component" in payload["message"]
 
 
@@ -593,7 +594,7 @@ def test_deep_history_is_a_syntax_error(capsys):
 def test_deep_third_derivative_is_a_syntax_error(capsys, tmp_path):
     # the rhs and its first two derivatives compile; the third, compiled on
     # first use for the Lyapunov coefficient, nests past Python's parser
-    b1, b2 = dde_boundary(2.0)
+    b1, b2 = boundary(2.0)
     rhs = "b1*x0@0 + b2*x0@1 + x0@1^3/(2 + x0@1/(2 + x0@1*" + "-" * 182 + "a))"
     path = model_file(tmp_path, rhs, 0, {"b1": b1, "b2": b2, "a": 0.5})
     assert run(capsys, ["eig", "--model", path, "--n", "4"])[0] == 0

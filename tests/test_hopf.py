@@ -6,10 +6,8 @@ import pytest
 from scipy.optimize import brentq
 
 from chebdde.analytic import (
-    c0_blowfly,
-    cn_blowfly,
-    dde_boundary,
-    ps_boundary,
+    boundary,
+    c_blowfly,
     to_mu_beta,
 )
 from chebdde.discretize import assemble_An, charfn_eval, eigenvalues, make_system
@@ -42,12 +40,12 @@ def blowfly_oracle(mu=MU):
     lo, hi = 1.6, 3.1
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if dde_boundary(mid)[0] > -mu:
+        if boundary(mid)[0] > -mu:
             lo = mid
         else:
             hi = mid
     w = 0.5 * (lo + hi)
-    return w, to_mu_beta(*dde_boundary(w))[1]
+    return w, to_mu_beta(*boundary(w))[1]
 
 
 def linear_model(b1, b2):
@@ -58,7 +56,7 @@ def linear_model(b1, b2):
 
 
 def boundary_blowflies(w):
-    return blowflies(*to_mu_beta(*dde_boundary(w)))
+    return blowflies(*to_mu_beta(*boundary(w)))
 
 
 def test_find_hopf_matches_bisection_oracle():
@@ -131,16 +129,16 @@ def test_sigma_and_a2_match_closed_forms():
     ew = cmath.exp(-1j * h.omega)
     sigma_closed = ((MU / h.alpha) * ew / (1.0 + b2 * ew)).real
     assert abs(h.sigma - sigma_closed) < 1e-12
-    a2_closed = c0_blowfly(h.omega).real / sigma_closed
+    a2_closed = c_blowfly(h.omega).real / sigma_closed
     assert abs(h.a2 - a2_closed) < 1e-10
-    assert abs(h.c - c0_blowfly(h.omega)) < 1e-12
+    assert abs(h.c - c_blowfly(h.omega)) < 1e-12
 
 
 def test_transversality_n2_crossing_speed():
     # the printed n=2 crossing-speed formula carries the opposite
     # orientation to d/d b2, so sigma equals +Re lambda' here
     w = 1.7
-    b1, b2 = ps_boundary(2, w)
+    b1, b2 = boundary(w, 2)
     h = hopf_point(make_system(linear_model(b1, b2), 2), "b2", w, b2)
     assert abs(h.sigma - lambda_prime_n2_re(w)) < 1e-12
     assert h.sigma > 0.0 and lambda_prime_n2_re(w) > 0.0
@@ -148,7 +146,7 @@ def test_transversality_n2_crossing_speed():
 
 def test_transversality_zero_for_silent_parameter():
     w = 2.0
-    b1, b2 = dde_boundary(w)
+    b1, b2 = boundary(w)
     m = make_model(
         1, (0.0, 1.0), ("b1*x0@0 + b2*x0@1 + a*x0@1^3",),
         {"b1": b1, "b2": b2, "a": 0.4}, equilibrium_hint=[0.0],
@@ -167,20 +165,20 @@ def test_lyapunov_matches_boundary_closed_forms():
     m0 = boundary_blowflies(w)
     cf0 = make_system(m0)
     h0 = hopf_point(cf0, "beta", w, m0.params["beta"])
-    assert abs(h0.c - c0_blowfly(w)) < 1e-12
+    assert abs(h0.c - c_blowfly(w)) < 1e-12
 
-    mu5, beta5 = to_mu_beta(*ps_boundary(5, w))
+    mu5, beta5 = to_mu_beta(*boundary(w, 5))
     m5 = blowflies(mu5, beta5)
     cf5 = make_system(m5, 5)
     h5 = hopf_point(cf5, "beta", w, beta5)
-    assert abs(h5.c - cn_blowfly(5, w)) < 1e-10
+    assert abs(h5.c - c_blowfly(w, 5)) < 1e-10
 
 
 def test_lyapunov_odd_nonlinearity():
     # without quadratic terms only the cubic term survives:
     # c = 3 a e^{-i w} / (1 + b2 e^{-i w})
     w, a = 2.0, 0.35
-    b1, b2 = dde_boundary(w)
+    b1, b2 = boundary(w)
     m = make_model(
         1, (0.0, 1.0), ("b1*x0@0 + b2*x0@1 + a*x0@1^3",),
         {"b1": b1, "b2": b2, "a": a}, equilibrium_hint=[0.0],
@@ -192,7 +190,7 @@ def test_lyapunov_odd_nonlinearity():
 
 def test_lyapunov_linear_model_degenerate():
     w = 2.0
-    b1, b2 = dde_boundary(w)
+    b1, b2 = boundary(w)
     h = hopf_point(make_system(linear_model(b1, b2)), "b2", w, b2)
     assert h.c == 0.0
     assert h.a2 == 0.0
@@ -273,7 +271,7 @@ def test_slaved_component_matches_scalar_coefficient():
     # a second component driven by the first but not feeding back leaves
     # the critical data of the scalar problem untouched
     w = 2.0
-    mu, beta = to_mu_beta(*dde_boundary(w))
+    mu, beta = to_mu_beta(*boundary(w))
     xbar = math.log(beta / mu)
     m = make_model(
         2, (0.0, 1.0),
@@ -281,9 +279,9 @@ def test_slaved_component_matches_scalar_coefficient():
         {"mu": mu, "beta": beta}, equilibrium_hint=[xbar, xbar],
     )
     h = hopf_point(make_system(m), "beta", w, beta)
-    assert abs(h.c - c0_blowfly(w)) < 1e-13
+    assert abs(h.c - c_blowfly(w)) < 1e-13
     hn = hopf_point(make_system(m, 12), "beta", w, beta)
-    assert abs(hn.c - c0_blowfly(w)) < 1e-9
+    assert abs(hn.c - c_blowfly(w)) < 1e-9
 
 
 def test_resonance_zero_root():
@@ -409,7 +407,7 @@ def test_nonresonance_n2_scan_covers_all_three_eigenvalues():
     # A_2 has exactly three eigenvalues: the critical pair plus one real,
     # so no 1:k resonance is possible and the scan must come back clean
     w = 1.7
-    b1, b2 = ps_boundary(2, w)
+    b1, b2 = boundary(w, 2)
     cf = make_system(linear_model(b1, b2), 2)
     vals = eigenvalues(assemble_An(cf))
     assert vals.shape == (3,)
@@ -474,7 +472,7 @@ def test_a2_parametrization_invariance():
 
 def test_trace_matches_parametric_boundary():
     w = 2.0
-    b1s, b2s = dde_boundary(w)
+    b1s, b2s = boundary(w)
     m = linear_model(b1s, b2s)
     start = find_hopf(make_system(m), "b2", w, b2s + 0.05)
     curve = trace_hopf_curve(m, ("b1", "b2"), start, 0.05, max_points=31)
@@ -485,7 +483,7 @@ def test_trace_matches_parametric_boundary():
     assert np.allclose(curve.steps[1:], gaps, rtol=1e-12, atol=0)
     assert len(curve.diagnostics) == 31
     for b1, b2, omega in curve.points:
-        pb1, pb2 = dde_boundary(omega)
+        pb1, pb2 = boundary(omega)
         assert abs(b1 - pb1) < 1e-8
         assert abs(b2 - pb2) < 1e-8
     for (_, _, omega), diag in zip(curve.points, curve.diagnostics):
@@ -497,7 +495,7 @@ def test_trace_matches_parametric_boundary():
 
 def test_trace_step_sign_flip_reverses():
     w = 2.0
-    b1s, b2s = dde_boundary(w)
+    b1s, b2s = boundary(w)
     m = linear_model(b1s, b2s)
     start = find_hopf(make_system(m), "b2", w, b2s + 0.05)
     fwd = trace_hopf_curve(m, ("b1", "b2"), start, 0.05, max_points=31)
@@ -554,7 +552,7 @@ def test_curve_run_counters():
     assert 0 < stats["newton_steps"] <= 50 * stats["rebuilds"]
 
     # the linear family's equilibrium is its hint, and no step is refused
-    b1s, b2s = dde_boundary(2.0)
+    b1s, b2s = boundary(2.0)
     lin = linear_model(b1s, b2s)
     start = find_hopf(make_system(lin), "b2", 2.0, b2s + 0.05)
     curve = trace_hopf_curve(lin, ("b1", "b2"), start, 0.05, max_points=31)
@@ -567,7 +565,7 @@ def test_singular_corrector_matrix_halves_the_step(monkeypatch):
     # the first corrector iterate's Newton matrix gets a zero row, which
     # numpy's solve would refuse with LinAlgError; the shared guard raises
     # SingularityError first, and the trace retries with half the step
-    b1s, b2s = dde_boundary(2.0)
+    b1s, b2s = boundary(2.0)
     lin = linear_model(b1s, b2s)
     start = find_hopf(make_system(lin), "b2", 2.0, b2s + 0.05)
     rows_at, calls = hopf._hopf_rows, []
@@ -617,7 +615,7 @@ def test_trace_fluidflow_single_branch():
 
 def test_trace_stalls_at_corner():
     w = 2.0
-    b1s, b2s = dde_boundary(w)
+    b1s, b2s = boundary(w)
     m = linear_model(b1s, b2s)
     start = find_hopf(make_system(m), "b2", w, b2s + 0.05)
     with pytest.raises(ContinuationError) as err:
