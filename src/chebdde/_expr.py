@@ -492,7 +492,7 @@ def diff(node: Expr, leaf) -> Expr:
 def _source(node: Expr, leaf) -> str:
     """Python source of the tree; `leaf` prints the Param and State nodes."""
     if isinstance(node, Num):
-        return repr(node.value)
+        return f"({node.value!r})"  # in parentheses: (-a)**b is not -(a**b)
     if isinstance(node, (Param, State)):
         return leaf(node)
     if isinstance(node, Neg):
@@ -507,24 +507,28 @@ def _source(node: Expr, leaf) -> str:
 
 def _compile(source: str):
     try:
-        code = compile(source, "<rhs>", "eval")
+        code = compile(source, "<rhs>", "exec")
     except (SyntaxError, RecursionError):
         # only nesting past what Python's parser or compiler takes
         raise ExprSyntaxError("expression nested too deeply to compile", 0) from None
-    return eval(code, dict(_NUM_FUNCS))
+    scope = dict(_NUM_FUNCS, EvalDomainError=EvalDomainError)
+    exec(code, scope)
+    return scope["f"]
 
 
 def compile_rhs(exprs, params, n_lags: int):
-    """Compile expression trees into one fast callable for time stepping.
+    """Compile expression trees into one writer for time stepping.
 
-    Parameter values are baked in as literals. The result takes an array of
-    lag values indexed [lag, comp] and returns a list of floats.
+    Parameter values are baked in as literals. f(v, out) reads lag values
+    v[lag, comp] as numpy scalars (overflow gives inf, not an exception),
+    writes out in one tuple assignment, so out may alias v's last lag row,
+    and raises EvalDomainError where a value leaves its function's domain.
     """
 
     def leaf(node) -> str:
         if isinstance(node, Param):
             try:
-                return repr(float(params[node.name]))
+                return f"({float(params[node.name])!r})"
             except KeyError:
                 raise UnknownSymbolError(
                     f"unknown parameter {node.name!r}"
@@ -533,8 +537,13 @@ def compile_rhs(exprs, params, n_lags: int):
             raise UnknownSymbolError(f"delay index {node.lag} out of range")
         return f"v[{node.lag},{node.comp}]"
 
-    body = ", ".join(_source(e, leaf) for e in exprs)
-    return _compile(f"lambda v: [{body}]")
+    targets = "".join(f"out[{i}], " for i in range(len(exprs)))
+    body = "".join(f"{_source(e, leaf)}, " for e in exprs)
+    return _compile(
+        f"def f(v, out):\n    try:\n        {targets}= {body}\n"
+        "    except (ValueError, ZeroDivisionError, OverflowError) as exc:\n"
+        "        raise EvalDomainError(str(exc), 'model rhs at node 0') from None\n"
+    )
 
 
 def compile_rows(rows, names):
@@ -556,4 +565,4 @@ def compile_rows(rows, names):
         "lambda x, p: [" + ", ".join(_source(e, leaf) for e in row) + "]"
         for row in rows
     )
-    return _compile(f"({lambdas},)")
+    return _compile(f"f = ({lambdas},)")

@@ -236,7 +236,11 @@ def _chart(n: Optional[int], w: np.ndarray) -> tuple:
 def c_blowfly(omega, n: Optional[int] = None):
     """First Lyapunov coefficient along the Hopf boundary of the delay
     equation (n None) or of its degree-n collocation ODE; one omega gives a
-    complex, an array gives an array."""
+    complex, an array gives an array.
+
+    One omega alone and in an array may differ in the last bit, since
+    numpy's complex multiply rounds differently on scalars and in its array
+    loops (exact, omega = 1.58: Re c ends ...6984 alone, ...6995 in one)."""
     w = np.asarray(omega, dtype=float)
     c = _chart(n, w)[2]
     return complex(c) if w.ndim == 0 else c

@@ -46,10 +46,9 @@ def _column(cells) -> list:
     return list(map(_fmt, cells))
 
 
-def _csv(header, rows) -> str:
+def _csv(header, columns) -> str:
     """CSV text with _fmt cells, formatted column by column."""
-    columns = [_column(cells) for cells in zip(*rows, strict=True)]
-    lines = [",".join(header), *map(",".join, zip(*columns))]
+    lines = [",".join(header), *map(",".join, zip(*map(_column, columns), strict=True))]
     return "\n".join(lines) + "\n"
 
 
@@ -214,13 +213,13 @@ def _cmd_mesh(args):
     rows = [["node"] + list(mesh.nodes), ["weight"] + list(mesh.bary_weights)]
     for i in range(args.n):
         rows.append([f"d{i + 1}", diff.d0[i]] + list(diff.D[i]))
-    return [(_csv(header, rows), args.out)]
+    return [(_csv(header, zip(*rows, strict=True)), args.out)]
 
 
 def _cmd_eig(args):
     model = _load_model(args)
     vals = eigenvalues(assemble_An(make_system(model, args.n)))
-    return [(_csv(["re", "im"], [(v.real, v.imag) for v in vals]), args.out)]
+    return [(_csv(["re", "im"], [vals.real.tolist(), vals.imag.tolist()]), args.out)]
 
 
 def _cmd_charfn(args):
@@ -230,7 +229,7 @@ def _cmd_charfn(args):
     det_0 = charfn_det(make_system(model), lam)
     header = ["re_lambda", "im_lambda", "re_delta_n", "im_delta_n", "re_delta_0", "im_delta_0"]
     row = (lam.real, lam.imag, det_n.real, det_n.imag, det_0.real, det_0.imag)
-    return [(_csv(header, [row]), args.out)]
+    return [(_csv(header, ([cell] for cell in row)), args.out)]
 
 
 def _find_point(args, model):
@@ -259,7 +258,7 @@ def _cmd_curve(args):
     for point, step, diag in zip(curve.points, curve.steps, curve.diagnostics):
         rows.append((point[0], point[1], point[2], step,
                      diag.residual, diag.iterations, diag.simplicity))
-    return [(_csv(header, rows), args.out)]
+    return [(_csv(header, zip(*rows, strict=True)), args.out)]
 
 
 def _cmd_converge(args):
@@ -273,7 +272,7 @@ def _cmd_converge(args):
     table = [(row.n, row.alpha_err, row.omega_err, row.a2_err, row.sigma,
               row.simplicity, row.nonres_margin, row.failure or "")
              for row in rows]
-    return [(_csv(header, table), args.out)]
+    return [(_csv(header, zip(*table, strict=True)), args.out)]
 
 
 def _history_fn(text, model, parser):
@@ -323,8 +322,8 @@ def _cmd_simulate(args):
     traj = integrate(ps, sample_history(ps, phi), args.t_end,
                      rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     header = ["t"] + [f"y{i}" for i in range(model.dim)]
-    rows = np.column_stack([traj.times, traj.states[:, : model.dim]]).tolist()
-    outputs = [(_csv(header, rows), args.out)]
+    columns = [traj.times.tolist(), *traj.states[:, : model.dim].T.tolist()]
+    outputs = [(_csv(header, columns), args.out)]
     if args.period:
         report = period_report(traj, component=args.component, skip=args.skip)
         outputs.append((_json(report), None))
@@ -338,7 +337,7 @@ def _cmd_chart_blowfly(args):
         omegas = admissible_omegas(args.omega_min, args.omega_max, args.steps, degree)
         for pt in boundary_points(omegas, degree):
             rows.append((source, pt.omega, pt.b1, pt.b2, pt.mu, pt.beta / pt.mu, pt.re_c))
-    return [(_csv(header, rows), args.out)]
+    return [(_csv(header, zip(*rows, strict=True)), args.out)]
 
 
 def _add_model_opts(sub, param=True):

@@ -46,7 +46,6 @@ from .cheb_mesh import Mesh, DiffOp, _bary_coeffs, diff_matrix, make_mesh
 from .errors import (
     ConditioningError,
     ConvergenceError,
-    EvalDomainError,
     SimplicityError,
     SingularityError,
     UnknownSymbolError,
@@ -160,7 +159,7 @@ class PsSystem:
 
     @cached_property
     def rhs_fn(self) -> Callable:
-        """The model rhs compiled for time stepping, on first use: analysis
+        """The compile_rhs writer of the model rhs, on first use: analysis
         at many parameter points never evaluates it."""
         return compile_rhs(self.model.rhs, self.model.params, len(self.model.delays))
 
@@ -262,15 +261,12 @@ def rhs(ps: PsSystem, state) -> np.ndarray:
     """Full nonlinear vector field: one product with the precomputed state
     operator gives the lag values at -tau_k (node 0 evaluates the model on
     them) and the differentiated tail (nodes 1..n). integrate forms its
-    later stages the same way in place; this is the one-shot form."""
+    later stages with the same writer in place; this is the one-shot form."""
     _require_degree(ps, "rhs")
     k = len(ps.model.delays)
     z = ps.op.dot(np.asarray(state, dtype=float).reshape(ps.n + 1, ps.model.dim))
     out = np.empty((ps.n + 1, ps.model.dim))
-    try:
-        out[0] = ps.rhs_fn(z[:k])
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise EvalDomainError(str(exc), "model rhs at node 0") from None
+    ps.rhs_fn(z[:k], out[0])
     out[1:] = z[k:]
     return out.reshape(-1)
 

@@ -9,17 +9,17 @@ degree sets the admissible step through the spectrum of the
 differentiation blocks. It runs on the degree-n system make_system(model,
 n), the same object the characteristic function is evaluated on
 (make_system(model) is the delay equation itself, which has no state
-vector to step, and is refused). Each stage evaluates the vector field as
-one product with the state operator shared by every system of that degree
-(lag rows over the differentiation rows) plus one call of the model
-right-hand side, compiled on first use. The first stage is the one-shot
-discretize.rhs; the later ones are formed in place in preallocated memory
-with the same floating-point operations, so the trajectory is bit for bit
-the one an rhs call per stage gives. Periods are measured from upward
-crossings of the post-transient mean level, which is robust to the
-asymmetric spike shapes these models produce; crossings and hump peaks
-are refined by parabolas through neighbouring samples, so the cycle
-classification does not depend on how densely the steps sample it.
+vector to step, and is refused). A stage is two products and one call in
+preallocated memory: the h-scaled tableau row times [y; k_0..k_{i-1}]
+gives the stage point, the state operator of that degree (lag rows over
+the differentiation rows) writes the lag values and the differentiated
+tail into the stage's row, and the compiled model rhs writes node 0 from
+those lag values, bit for bit as the one-shot discretize.rhs, the first
+stage, does. Periods are measured from upward crossings of the
+post-transient mean level, which is robust to the asymmetric spike shapes
+these models produce; crossings and hump peaks are refined by parabolas
+through neighbouring samples, so the cycle classification does not
+depend on how densely the steps sample it.
 """
 
 import math
@@ -129,6 +129,10 @@ _E3 = _B - np.array(
         0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1,
     ]
 )
+# The tableau over the rows [y; k_0..k_11]: row i is [1 | a_i] for stage i,
+# row 12 [1 | b] for the new point; _E holds both error weight rows.
+_C = np.array([np.r_[1.0, row, np.zeros(len(_B) - len(row))] for row in (*_A, _B)])
+_E = np.vstack([_E5, _E3])
 
 
 @dataclass(frozen=True)
@@ -179,13 +183,14 @@ def integrate(
     """Adaptive 8(5,3) integration of y' = rhs(ps, y) from t = 0 to t_end.
 
     Returns the accepted points, with run counters in Trajectory.stats.
-    The first stage is the one-shot rhs(ps, y); every later stage, and the
-    derivative at each accepted point, is formed in place in preallocated
-    memory with one product with the state operator, and its rounding is
-    that of rhs on the same state. The error is Hairer's blend of the 5th-
-    and 3rd-order estimates, and the step right after a rejection does not
-    grow. Raises IntegrationError with the partial trajectory attached on
-    step underflow or a non-finite state.
+    The first stage is the one-shot rhs(ps, y); every later one, and the
+    derivative at each accepted point, is (1 | h a_i) . [y; k], one product
+    with the state operator into its row and the rhs writer on node 0, bit
+    for bit rhs at that point. The new point is (1 | h b) . [y; k]. The
+    error is Hairer's blend of the 5th- and 3rd-order estimates, and the
+    step right after a rejection does not grow. Raises IntegrationError
+    with the partial trajectory attached on step underflow or a non-finite
+    state.
     """
     _require_degree(ps, "integrate")
     for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
@@ -199,9 +204,7 @@ def integrate(
     if y.shape != (size,):
         raise ValueError(f"state must have shape ({size},), got {y.shape}")
 
-    times = [0.0]
-    states = [y.copy()]
-    errors = [0.0]
+    times, states, errors = [0.0], [y], [0.0]
     rejected = 0
 
     def fail(message):
@@ -215,31 +218,23 @@ def integrate(
     h = 0.01 * d0 / d1 if d1 > 1e-8 and d0 > 1e-8 else 1e-3
     h = float(min(h, 0.1, t_end))
 
-    op, rhs_fn = ps.op, ps.rhs_fn
+    op, write = ps.op, ps.rhs_fn
     lags = len(ps.model.delays)
-    z = np.empty((len(op), d))
-    z_lags, z_tail = z[:lags], z[lags:]
-
-    def derivative(nodes, head, tail):
-        # the rounding of rhs: the head (node 0, the model at the lag values)
-        # and tail (differentiated nodes) of the derivative; ndarray.dot has
-        # less per-call overhead than np.dot or @ on arrays this small
-        op.dot(nodes, out=z)
-        try:
-            head[:] = rhs_fn(z_lags)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise EvalDomainError(str(exc), "model rhs at node 0") from None
-        tail[:] = z_tail
-
-    k = np.empty((len(_B), size))
-    k[0] = f0
-    heads = [k[i, :d] for i in range(len(_B))]
-    tails = [k[i, d:].reshape(ps.n, d) for i in range(len(_B))]
-    # stage i: its tableau row, the earlier stages it combines, and the head
-    # and tail of the derivative it writes
-    stages = [(_A[i], k[:i], heads[i], tails[i]) for i in range(1, len(_B))]
+    # W holds y and k_0..k_11, each row after (K - 1) d entries of padding:
+    # the (K + n) x d view of a row is what the state operator writes, the K
+    # lag values (the last on the head k_j[:d]) and then the tail in place
+    W = np.zeros((len(_C), (lags - 1) * d + size))
+    yk = W[:, (lags - 1) * d :]
+    yk[0], yk[1] = y, f0
+    k, y_nodes = yk[1:], yk[0].reshape(ps.n + 1, d)
+    # per row: the product's view, the lag values and the head; made once,
+    # as slicing at every stage costs as much as the products
+    outs = [(row, row[:lags], row[lags - 1]) for row in W.reshape(len(_C), -1, d)[1:]]
+    hC = np.empty_like(_C)
     stage = np.empty(size)
     stage_nodes = stage.reshape(ps.n + 1, d)
+    # stage i: its coefficients, the rows [y; k_0..k_{i-1}] and where k_i goes
+    stages = [(hC[i, : i + 1], yk[: i + 1], *outs[i]) for i in range(1, len(outs))]
     abs_y = np.abs(y)
     retried = False
     t = 0.0
@@ -248,39 +243,35 @@ def integrate(
             h = t_end - t  # the end of the window shortens this step
         elif h < 1e-12 * max(1.0, abs(t)):
             fail(f"step size underflow at t={t!r}")
-        # the rounding of y + h * (row . prev)
-        for row, prev, head, tail in stages:
-            np.multiply(row.dot(prev), h, out=stage)
-            stage += y
-            derivative(stage_nodes, head, tail)
-        y_new = np.multiply(_B.dot(k), h)
-        y_new += y
+        np.multiply(_C, h, out=hC)
+        hC[:, 0] = 1.0  # y enters every stage unscaled
+        for coeffs, prev, row, lag_values, head in stages:
+            coeffs.dot(prev, out=stage)
+            op.dot(stage_nodes, out=row)
+            write(lag_values, head)
+        y_new = hC[-1].dot(yk)
         if not np.isfinite(y_new).all():
             rejected += 1
             fail(f"non-finite state at t={t!r}")
         abs_y_new = np.abs(y_new)
-        scale = np.maximum(abs_y, abs_y_new)
-        scale *= rel_tol
-        scale += abs_tol
-        e5 = _E5.dot(k)
-        e5 /= scale
-        e3 = _E3.dot(k)
-        e3 /= scale
-        n5 = e5.dot(e5)
-        blend = n5 + 0.01 * e3.dot(e3)
+        scale = abs_tol + rel_tol * np.maximum(abs_y, abs_y_new)
+        e5, e3 = np.divide(_E.dot(k), scale)
+        n5 = float(e5.dot(e5))  # h and t stay floats, as printed on failure
+        blend = n5 + 0.01 * float(e3.dot(e3))
         err = h * n5 / math.sqrt(blend * size) if blend > 0.0 else 0.0
         factor = min(10.0, max(0.2, 0.9 * err**-0.125)) if err > 0.0 else 10.0
         if err <= 1.0:
             t += h
-            y = y_new
+            yk[0] = y_new
             abs_y = abs_y_new
             # first-same-as-last: the next step's first stage
-            derivative(y.reshape(ps.n + 1, d), heads[0], tails[0])
+            row, lag_values, head = outs[0]
+            op.dot(y_nodes, out=row)
+            write(lag_values, head)
             times.append(t)
-            states.append(y)
+            states.append(y_new)
             errors.append(err)
-            if retried:
-                factor = min(1.0, factor)
+            factor = min(factor, 1.0 if retried else 10.0)
             retried = False
         else:
             rejected += 1

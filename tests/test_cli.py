@@ -369,6 +369,24 @@ def test_degree_n_hopf_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert results[0] == results[1]
 
 
+#: orbit integrations: every stage is two BLAS products (the stage point
+#: and the state operator), and both error estimates one matrix product
+SIMULATE_ARGVS = [
+    ["simulate", "--model", "blowflies", "--set", "mu=7", "--set", "beta=105",
+     "--n", "20", "--t-end", "20", "--rel-tol", "1e-7", "--abs-tol", "1e-9",
+     "--history", "const:2"],
+    ["simulate", "--model", "fluidflow", "--n", "8", "--t-end", "30",
+     "--history", "const:0.3,2.2"],
+]
+
+
+def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    results = _bytes_per_thread_count(tmp_path, SIMULATE_ARGVS)
+    assert results[0][0] == b"0\n" * len(SIMULATE_ARGVS)
+    assert [out.count(b"\n") for out in results[0][2]] == [574, 170]
+    assert results[0] == results[1]
+
+
 def test_chart_blowfly_refuses_a_reversed_window(capsys):
     # a reversed window would keep omega = 3.14100, inside the margin around pi
     for lo, hi in (("3.3", "3.0"), ("3.0", "3.0")):
@@ -793,4 +811,4 @@ def test_csv_matches_the_per_cell_format(table):
     expected = "\n".join(
         [",".join(header)] + [",".join(cli._fmt(cell) for cell in row) for row in rows]
     ) + "\n"
-    assert cli._csv(header, rows) == expected
+    assert cli._csv(header, zip(*rows, strict=True)) == expected

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chebdde._expr import (
     BinOp,
@@ -13,7 +15,15 @@ from chebdde._expr import (
     parse_expr,
     to_text,
 )
-from chebdde.errors import EvalDomainError, ExprSyntaxError, UnknownSymbolError
+from chebdde.discretize import make_system, replicate, rhs
+from chebdde.errors import (
+    EvalDomainError,
+    ExprSyntaxError,
+    IntegrationError,
+    UnknownSymbolError,
+)
+from chebdde.model import make_model
+from chebdde.simulate import integrate
 
 
 def test_parse_blowflies_rhs():
@@ -163,12 +173,90 @@ def test_overflow_reported_as_domain_error():
 def test_compile_rhs_matches_tree_eval():
     exprs = [
         parse_expr("-mu*x0@0 + beta*x0@1*exp(-x0@1)"),
-        parse_expr("x0@0 - 2*x1@1^2"),
+        parse_expr("x0@1 - 2*x1@1^2"),
     ]
     params = {"mu": 3.0, "beta": 29.0}
-    fn = compile_rhs(exprs, params, n_lags=2)
+    write = compile_rhs(exprs, params, n_lags=2)
     vals = np.array([[0.7, -0.2], [1.3, 0.4]])
     env = {(i, k): vals[k, i] for k in range(2) for i in range(2)}
-    got = fn(vals)
-    for r, tree in enumerate(exprs):
-        assert abs(got[r] - evaluate(tree, env, params)) < 1e-14
+    want = [evaluate(tree, env, params) for tree in exprs]
+    out = np.empty(2)
+    assert write(vals, out) is None
+    assert out.tolist() == want
+    # into the last lag row, which both components read
+    write(vals, vals[1])
+    assert vals.tolist() == [[0.7, -0.2], want]
+
+
+@st.composite
+def _writer_cases(draw):
+    """d expression trees over K lags (d, K in 1..3), with lag values."""
+    d, lags = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    leaves = st.one_of(
+        st.builds(Num, st.sampled_from([0.5, 1.0, 2.0, 3.7])),
+        st.builds(Param, st.sampled_from(["a", "b"])),
+        st.builds(State, st.integers(0, d - 1), st.integers(0, lags - 1)),
+    )
+
+    def extend(sub):
+        # integer exponents only: a negative base keeps a real power
+        return st.one_of(
+            st.builds(Neg, sub),
+            st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+            st.builds(BinOp, st.just("^"), sub, st.builds(Num, st.sampled_from([2.0, 3.0]))),
+            st.builds(Call, st.sampled_from(["exp", "log", "sin", "cos"]), sub),
+        )
+
+    exprs = draw(st.lists(st.recursive(leaves, extend, max_leaves=8), min_size=d, max_size=d))
+    vals = draw(st.lists(st.floats(-3.0, 3.0), min_size=lags * d, max_size=lags * d))
+    return exprs, np.array(vals).reshape(lags, d)
+
+
+@settings(max_examples=300)
+@given(_writer_cases())
+@example(([BinOp("^", Param("b"), Num(2.0))], np.array([[0.0]])))
+def test_compiled_writer_equals_evaluate_into_a_fresh_or_aliased_row(case):
+    # the writer's out may be the last lag row of v, as in integrate's
+    # stages: every component is read before any is written. The example:
+    # a negative parameter baked in as a bare literal read b^2 as -(0.25^2)
+    exprs, vals = case
+    params = {"a": 1.5, "b": -0.25}
+    write = compile_rhs(exprs, params, n_lags=len(vals))
+    env = {(comp, lag): vals[lag, comp] for lag, comp in np.ndindex(vals.shape)}
+    fresh, aliased = np.empty(len(exprs)), vals.copy()
+    with np.errstate(all="ignore"):
+        try:
+            want = [evaluate(tree, env, params) for tree in exprs]
+        except EvalDomainError:
+            with pytest.raises(EvalDomainError, match="in 'model rhs at node 0'"):
+                write(vals, fresh)
+            return
+        write(vals, fresh)
+        write(aliased, aliased[-1])
+    assert np.array_equal(fresh, want, equal_nan=True)
+    assert np.array_equal(aliased[-1], want, equal_nan=True)
+    assert np.array_equal(aliased[:-1], vals[:-1])
+
+
+def test_compiled_rhs_errors_reach_the_integrator():
+    # the writer reads numpy scalars, so x' = x^2 overflows to inf rather
+    # than raising OverflowError, and the blow-up ends in IntegrationError
+    # with the partial trajectory
+    write = compile_rhs([parse_expr("x0@0^2")], {}, n_lags=1)
+    out = np.empty(1)
+    with np.errstate(over="ignore"):
+        write(np.array([[1e200]]), out)
+    assert out[0] == np.inf
+    m = make_model(1, (0.0, 1.0), ("x0@0^2",), {}, equilibrium_hint=[0.0])
+    ps = make_system(m, 4, equilibrium=[0.0])
+    with pytest.raises(IntegrationError) as err:
+        integrate(ps, replicate(np.array([2.0]), 4), 10.0)
+    assert err.value.trajectory is not None
+    # log of a negative lag value: the writer raises the domain error that
+    # rhs and every stage of integrate pass on
+    m = make_model(1, (0.0, 1.0), ("-x0@0 + log(x0@1)",), {}, equilibrium_hint=[1.0])
+    ps = make_system(m, 4, equilibrium=[1.0])
+    for call in (lambda y: rhs(ps, y), lambda y: integrate(ps, y, 1.0)):
+        with pytest.raises(EvalDomainError) as err:
+            call(np.full(5, -1.0))
+        assert str(err.value) == "math domain error in 'model rhs at node 0'"

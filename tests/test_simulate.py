@@ -276,7 +276,9 @@ def test_bracket_validation():
 
 def reference_integrate(ps, y0, t_end, rel_tol=1e-6, abs_tol=1e-9):
     """The stepper written plainly: every stage, and the derivative at each
-    accepted point, is a call of rhs."""
+    accepted point, is a call of rhs. A stage point and the new point are
+    one product of the coefficients (1 | h a_i), resp. (1 | h b), with the
+    rows [y; k], the arithmetic of integrate's fused stages."""
     y = np.asarray(y0, dtype=float).copy()
     size = y.shape[0]
     times, states, errors = [0.0], [y.copy()], [0.0]
@@ -293,11 +295,12 @@ def reference_integrate(ps, y0, t_end, rel_tol=1e-6, abs_tol=1e-9):
     while t < t_end:
         h = min(h, t_end - t)
         for i in range(1, 12):
-            k[i] = rhs(ps, y + h * _A[i].dot(k[:i]))
-        y_new = y + h * _B.dot(k)
+            k[i] = rhs(ps, np.r_[1.0, h * _A[i]].dot(np.vstack([y, k[:i]])))
+        y_new = np.r_[1.0, h * _B].dot(np.vstack([y, k]))
         scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        e5 = _E5.dot(k) / scale
-        e3 = _E3.dot(k) / scale
+        # both error estimates from one product, as in integrate: BLAS's
+        # matrix product and its vector product round differently
+        e5, e3 = np.vstack([_E5, _E3]).dot(k) / scale
         n5, n3 = e5.dot(e5), e3.dot(e3)
         blend = n5 + 0.01 * n3
         err = h * n5 / math.sqrt(blend * size) if blend > 0.0 else 0.0
@@ -322,14 +325,23 @@ def three_delay_model():
                       equilibrium_hint=[1.0])
 
 
+def two_component_three_delay_model():
+    # both components read the last lag row of both components, the row the
+    # fused stage writes the head over
+    return make_model(2, (0.0, 0.4, 1.0),
+                      ("-x0@0 + 2*x1@2*exp(-x0@2)", "-x1@1 + sin(x0@2) - 0.1*x1@2^2"),
+                      {}, equilibrium_hint=[0.5, 0.5])
+
+
 @pytest.mark.parametrize(
     "case",
     [
         (lambda: blowflies(7.0, 105.0), 20, 2.0, 20.0),
         (lambda: fluidflow(1.5, 1.5), 8, np.array([0.3, 2.2]), 30.0),
         (three_delay_model, 12, 0.7, 20.0),
+        (two_component_three_delay_model, 10, np.array([0.4, 0.9]), 20.0),
     ],
-    ids=["blowflies", "fluidflow", "three_delays"],
+    ids=["blowflies", "fluidflow", "three_delays", "d2_three_delays"],
 )
 def test_in_place_stages_match_rhs_per_stage_bit_for_bit(case):
     make, n, value, t_end = case
