@@ -5,9 +5,10 @@ is shared by the delay equation and its collocation ODE (see discretize);
 the delay equation's lag factors v_k = e^{-lambda tau_k} live here, and the
 transcendental Delta they give serves as the reference oracle. The rest of
 the module charts the scalar delayed-feedback family
-x' = b1 x(t) + b2 x(t-1), one row per omega of an admissible grid: the Hopf
-boundary (b1, b2), the (b1, b2) <-> (mu, beta) change of parameters for the
-delayed-recruitment interpretation, and the first Lyapunov coefficient c.
+x' = b1 x(t) + b2 x(t-1) over an admissible omega grid: the Hopf boundary
+(b1, b2), the (b1, b2) <-> (mu, beta) change of parameters for the
+delayed-recruitment interpretation, and the first Lyapunov coefficient c,
+each one array over the grid, so that a chart is a set of columns.
 
 One formula gives (b1, b2, c) for both problems from the lag factor zeta at
 i omega and 2 i omega and d zeta / d lambda at i omega. Two sources feed it:
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import sys
 from functools import lru_cache
 from typing import Optional
 
@@ -40,7 +41,6 @@ from .cheb_mesh import diff_matrix, make_mesh
 from .errors import SingularityError
 
 __all__ = [
-    "BoundaryPoint",
     "delta0_lags",
     "boundary",
     "to_mu_beta",
@@ -197,18 +197,23 @@ def boundary(omega, n: Optional[int] = None) -> tuple:
 _NEEDS_MU = "b1={w} >= 0: interpretation as population parameters needs mu > 0"
 
 
-def to_mu_beta(b1: float, b2: float) -> tuple:
+def to_mu_beta(b1, b2) -> tuple:
     """Map linearization coefficients to delayed-recruitment parameters:
-    mu = -b1, beta = -b1 e^{1 + b2/b1}."""
-    if b1 >= 0.0:
-        raise ValueError(_NEEDS_MU.format(w=b1))
+    mu = -b1, beta = -b1 e^{1 + b2/b1}. One pair gives floats, two arrays of
+    one shape give arrays, and either error names the first pair that fails.
+    Each exponential is math.exp's: np.exp can differ from it in the last bit."""
+    b1, b2 = np.asarray(b1, dtype=float), np.asarray(b2, dtype=float)
+    _raise_at(b1 >= 0.0, b1, _NEEDS_MU, ValueError)
+    ratio = 1.0 + b2 / b1
     try:
-        beta = -b1 * math.exp(1.0 + b2 / b1)
+        growth = np.reshape(list(map(math.exp, ratio.ravel().tolist())), ratio.shape)
     except OverflowError:
+        k = np.argmax(ratio.ravel() > math.log(sys.float_info.max))
         raise SingularityError(
-            f"beta overflows at (b1, b2)=({b1}, {b2}): boundary end point"
+            f"beta overflows at (b1, b2)=({b1.flat[k]}, {b2.flat[k]}): boundary end point"
         ) from None
-    return (-b1, beta)
+    mu, beta = -b1, -b1 * growth
+    return (float(mu), float(beta)) if b1.ndim == 0 else (mu, beta)
 
 
 def _chart(n: Optional[int], w: np.ndarray) -> tuple:
@@ -246,33 +251,19 @@ def c_blowfly(omega, n: Optional[int] = None):
     return complex(c) if w.ndim == 0 else c
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """One admissible point on a Hopf boundary chart."""
-
-    omega: float
-    b1: float
-    b2: float
-    mu: float
-    beta: float
-    re_c: float
-
-
-def boundary_points(omegas, n: Optional[int] = None) -> list:
-    """Chart rows at an array of omegas: the exact curve when n is None, else
-    the degree-n one, whose rows come from a handful of batched lag solves.
+def boundary_points(omegas, n: Optional[int] = None) -> tuple:
+    """The chart at an array of omegas as columns (omega, b1, b2, mu, beta,
+    Re c): the exact curve when n is None, else the degree-n one, whose
+    columns come from three batched lag-solve passes over the omegas.
 
     Raises SingularityError near poles of the curve and where beta
     overflows at its end points, and ValueError where the (mu, beta)
-    interpretation fails (b1 >= 0).
+    interpretation fails (b1 >= 0), each naming the first omega or
+    (b1, b2) pair that fails.
     """
     w = np.asarray(omegas, dtype=float).ravel()
-    points = []
-    for x, y1, y2, cx in zip(w, *_chart(n, w)):
-        y1, y2 = float(y1), float(y2)
-        mu, beta = to_mu_beta(y1, y2)
-        points.append(BoundaryPoint(float(x), y1, y2, mu, beta, float(cx.real)))
-    return points
+    b1, b2, c = _chart(n, w)
+    return (w, b1, b2, *to_mu_beta(b1, b2), c.real)
 
 
 def admissible_omegas(

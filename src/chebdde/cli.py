@@ -210,10 +210,9 @@ def _cmd_mesh(args):
     mesh = make_mesh(args.n)
     diff = diff_matrix(mesh)
     header = ["label"] + [f"j{k}" for k in range(args.n + 1)]
-    rows = [["node"] + list(mesh.nodes), ["weight"] + list(mesh.bary_weights)]
-    for i in range(args.n):
-        rows.append([f"d{i + 1}", diff.d0[i]] + list(diff.D[i]))
-    return [(_csv(header, zip(*rows, strict=True)), args.out)]
+    labels = ["node", "weight"] + [f"d{i + 1}" for i in range(args.n)]
+    table = np.vstack([mesh.nodes, mesh.bary_weights, np.column_stack([diff.d0, diff.D])])
+    return [(_csv(header, [labels, *table.T.tolist()]), args.out)]
 
 
 def _cmd_eig(args):
@@ -254,11 +253,10 @@ def _cmd_curve(args):
     curve = trace_hopf_curve(model, args.params, start, args.step,
                              max_points=args.max_points, n=args.n)
     header = list(curve.names) + ["omega", "step", "residual", "iterations", "simplicity"]
-    rows = []
-    for point, step, diag in zip(curve.points, curve.steps, curve.diagnostics):
-        rows.append((point[0], point[1], point[2], step,
-                     diag.residual, diag.iterations, diag.simplicity))
-    return [(_csv(header, zip(*rows, strict=True)), args.out)]
+    diags = [[getattr(diag, key) for diag in curve.diagnostics]
+             for key in ("residual", "iterations", "simplicity")]
+    columns = [*curve.points.T.tolist(), curve.steps.tolist(), *diags]
+    return [(_csv(header, columns), args.out)]
 
 
 def _cmd_converge(args):
@@ -269,10 +267,9 @@ def _cmd_converge(args):
                              reference=args.reference)
     header = ["n", "alpha_err", "omega_err", "a2_err", "sigma",
               "simplicity", "nonres_margin", "failure"]
-    table = [(row.n, row.alpha_err, row.omega_err, row.a2_err, row.sigma,
-              row.simplicity, row.nonres_margin, row.failure or "")
-             for row in rows]
-    return [(_csv(header, zip(*table, strict=True)), args.out)]
+    columns = [[getattr(row, key) for row in rows] for key in header]
+    columns[-1] = [failure or "" for failure in columns[-1]]
+    return [(_csv(header, columns), args.out)]
 
 
 def _history_fn(text, model, parser):
@@ -332,12 +329,15 @@ def _cmd_simulate(args):
 
 def _cmd_chart_blowfly(args):
     header = ["source", "omega", "b1", "b2", "mu", "beta_over_mu", "re_c"]
-    rows = []
+    blocks = []
     for source, degree in (("dde", None), ("discretized", args.n)):
         omegas = admissible_omegas(args.omega_min, args.omega_max, args.steps, degree)
-        for pt in boundary_points(omegas, degree):
-            rows.append((source, pt.omega, pt.b1, pt.b2, pt.mu, pt.beta / pt.mu, pt.re_c))
-    return [(_csv(header, zip(*rows, strict=True)), args.out)]
+        # a pass of its own over the kept omegas: zeta_n's last bits depend
+        # on which shifts share a sweep, so the grid's values would differ
+        omega, b1, b2, mu, beta, re_c = boundary_points(omegas, degree)
+        blocks.append([[source] * omega.size,
+                       *(col.tolist() for col in (omega, b1, b2, mu, beta / mu, re_c))])
+    return [(_csv(header, [dde + disc for dde, disc in zip(*blocks)]), args.out)]
 
 
 def _add_model_opts(sub, param=True):

@@ -229,6 +229,31 @@ def test_to_mu_beta():
         to_mu_beta(-1e-300, -math.pi / 2)  # beta out of float range
 
 
+def test_to_mu_beta_takes_a_scalar_or_arrays():
+    b1 = np.array([-3.0, -0.5, -1e-300, -1e-300])
+    b2 = np.array([1.0, -0.2, -math.pi / 2, -2.0])
+    mu, beta = to_mu_beta(b1[:2], b2[:2])
+    assert isinstance(mu, np.ndarray) and isinstance(beta, np.ndarray)
+    for x1, x2, got in zip(b1[:2], b2[:2], zip(mu, beta)):
+        pair = to_mu_beta(float(x1), float(x2))
+        assert type(pair[0]) is type(pair[1]) is float
+        # math.exp's bits, element by element
+        assert got == pair == (-x1, -x1 * math.exp(1.0 + x2 / x1))
+    # each error names the first element that fails, as a scalar call does
+    with pytest.raises(SingularityError) as scalar:
+        to_mu_beta(-1e-300, -math.pi / 2)
+    with pytest.raises(SingularityError) as array:
+        to_mu_beta(b1, b2)
+    assert str(array.value) == str(scalar.value)
+    with pytest.raises(SingularityError, match=r"\(b1, b2\)=\(-1e-300, -2\.0\)"):
+        to_mu_beta(b1[::-1], b2[::-1])
+    with pytest.raises(ValueError) as scalar:
+        to_mu_beta(0.5, 0.0)
+    with pytest.raises(ValueError, match=r"^b1=0\.5 >= 0") as array:
+        to_mu_beta(np.array([-1.0, 0.5, 2.0, 0.0]), np.zeros(4))
+    assert str(array.value) == str(scalar.value)
+
+
 def test_c0_negative_along_boundary():
     grid = np.linspace(math.pi / 2 + 1e-3, math.pi - 1e-3, 50)
     for w in grid:
@@ -288,18 +313,18 @@ def test_admissible_omegas_excludes_singularity():
     # the n=3 curve has a pole just above 3.02; the grid must stop before it
     ws = admissible_omegas(math.pi / 2 + 0.01, math.pi - 0.01, 60, n=3)
     assert ws.max() < 3.028
-    for w in ws:
-        pt = boundary_points([w], n=3)[0]
-        assert math.isfinite(pt.b1) and math.isfinite(pt.re_c)
-        assert pt.mu > 0.0
+    omega, b1, _, mu, _, re_c = boundary_points(ws, n=3)
+    assert np.array_equal(omega, ws)
+    assert np.all(np.isfinite(b1)) and np.all(np.isfinite(re_c))
+    assert np.all(mu > 0.0)
 
 
 def test_boundary_point_exact_curve():
-    pt = boundary_points([2.0])[0]
-    b1, b2 = boundary(2.0)
-    assert pt.b1 == b1 and pt.b2 == b2
-    assert abs(pt.mu + b1) < 1e-15
-    assert pt.re_c == c_blowfly(2.0).real
+    omega, b1, b2, mu, _, re_c = boundary_points([2.0])
+    assert omega.tolist() == [2.0]
+    assert (b1[0], b2[0]) == boundary(2.0)
+    assert abs(mu[0] + b1[0]) < 1e-15
+    assert re_c[0] == c_blowfly(2.0).real
 
 
 @settings(max_examples=80)
@@ -379,9 +404,9 @@ def test_one_pass_chart_equals_the_separate_solves(n, lo, hi):
     b1, b2, c = old_order_chart(n, w)
     assert np.array_equal(c_blowfly(w, n), c)
     assert all(np.array_equal(x, y) for x, y in zip(boundary(w, n), (b1, b2)))
-    points = boundary_points(w, n)
-    assert [p.b1 for p in points] == list(b1) and [p.b2 for p in points] == list(b2)
-    assert [p.re_c for p in points] == list(c.real)
+    _, chart_b1, chart_b2, _, _, re_c = boundary_points(w, n)
+    assert np.array_equal(chart_b1, b1) and np.array_equal(chart_b2, b2)
+    assert np.array_equal(re_c, c.real)
     for x in w[::97]:
         assert c_blowfly(x, n) == old_order_chart(n, x)[2]
         assert boundary(x, n) == old_order_chart(n, x)[:2]
@@ -418,10 +443,10 @@ def test_array_dde_boundary_equals_scalar_calls():
 
 def test_exact_boundary_points_equal_scalar_calls():
     w = admissible_omegas(1.58, 3.1, 1000)
-    points = boundary_points(w)
-    assert [(p.b1, p.b2) for p in points] == [exact_boundary(x) for x in w]
+    _, b1, b2, _, _, re_c = boundary_points(w)
+    assert list(zip(b1.tolist(), b2.tolist())) == [exact_boundary(x) for x in w]
     c = c_blowfly(w)
-    assert [p.re_c for p in points] == list(c.real)
+    assert np.array_equal(re_c, c.real)
     for x, got in zip(w, c):
         want = exact_c(x)
         assert abs(got - want) <= 1e-15 * abs(want)
@@ -450,13 +475,14 @@ def test_boundary_points_solves_each_shift_set_once(monkeypatch):
     per_pass = len(sweeps)
     assert max(sweeps) == analytic._CHUNK > 256 and sum(sweeps) == 1000
     sweeps.clear()
-    boundary_points(w, 40)
-    # i w to powers 1 and 2, then 2 i w: three passes
-    assert len(sweeps) == 3 * per_pass and sum(sweeps) == 3000
-    sweeps.clear()
-    admissible_omegas(1.6, 3.1, 1000, n=40)
+    omegas = admissible_omegas(1.6, 3.1, 1000, n=40)
     # the poles come from one eigenproblem: the grid is the only pass
     assert len(sweeps) == per_pass and sum(sweeps) == 1000
+    sweeps.clear()
+    boundary_points(omegas, 40)
+    # over the admissible omegas, i w to powers 1 and 2, then 2 i w: three passes
+    assert omegas.size == 1000
+    assert len(sweeps) == 3 * per_pass and sum(sweeps) == 3000
 
 
 def test_admissible_omegas_needs_an_increasing_window():
@@ -473,16 +499,15 @@ def test_chart_n40_matches_dense_solves(monkeypatch):
         omegas = admissible_omegas(1.6, 3.1, 200, n=40)
         return omegas, boundary_points(omegas, 40)
 
-    omegas, points = chart()
+    omegas, columns = chart()
     monkeypatch.setattr(analytic, "lag_solve_last", dense_lag_solve_last)
-    want_omegas, want_points = chart()
+    want_omegas, want_columns = chart()
     assert len(omegas) > 150
     assert np.array_equal(omegas, want_omegas)
-    for got, want in zip(points, want_points):
-        assert got.omega == want.omega
-        for field in ("b1", "b2", "mu", "beta", "re_c"):
-            ref = getattr(want, field)
-            assert abs(getattr(got, field) - ref) <= 1e-10 * abs(ref)
+    assert np.array_equal(columns[0], want_columns[0])
+    # b1, b2, mu, beta and Re c
+    for got, want in zip(columns[1:], want_columns[1:]):
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
 
 
 def test_admissible_omegas_across_n3_pole_match_per_point_scan():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebdde import cli
-from chebdde.analytic import boundary
+from chebdde.analytic import admissible_omegas, boundary, c_blowfly
 from chebdde.discretize import assemble_An, eigenvalues, make_system
 from chebdde.hopf import find_hopf
 from chebdde.model import blowflies
@@ -306,6 +306,30 @@ def test_chart_blowfly_bytes_do_not_depend_on_blas_threads(tmp_path):
         results.append((done.stdout, done.stderr, out.read_bytes()))
     assert results[0][2].count(b"\ndiscretized,") > 900
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("n, lo, hi, steps, counts", [
+    (40, 1.6, 3.1, 1000, [1000, 1000]),  # the benchmark window
+    (40, 1.58, 3.1, 1000, [1000, 1000]),  # the benchmark's lowest omega-min
+    (40, 1.56, 3.1, 100, [99, 99]),  # from below pi/2: the row with b1 >= 0 is dropped
+    (3, 2.9, 3.2, 300, [240, 127]),  # across pi, and the n = 3 pole near 3.02
+])
+def test_chart_blowfly_csv_is_the_boundary_in_closed_form(capsys, n, lo, hi, steps, counts):
+    # every row from boundary and c_blowfly, with mu = -b1 and
+    # beta = -b1 e^{1 + b2/b1} in math.exp's bits, formatted row by row
+    lines = ["source,omega,b1,b2,mu,beta_over_mu,re_c"]
+    for source, degree, count in (("dde", None, counts[0]), ("discretized", n, counts[1])):
+        omegas = admissible_omegas(lo, hi, steps, degree)
+        assert omegas.size == count
+        b1, b2 = boundary(omegas, degree)
+        re_c = c_blowfly(omegas, degree).real
+        for w, x1, x2, c in zip(omegas.tolist(), b1.tolist(), b2.tolist(), re_c.tolist()):
+            mu, beta = -x1, -x1 * math.exp(1.0 + x2 / x1)
+            lines.append(",".join([source, *map(repr, (w, x1, x2, mu, beta / mu, c))]))
+    code, out, err = run(capsys, ["chart-blowfly", "--n", str(n), "--omega-min", repr(lo),
+                                  "--omega-max", repr(hi), "--steps", str(steps)])
+    assert code == 0 and err == ""
+    assert out == "\n".join(lines) + "\n"
 
 
 #: exact-path Hopf points and 41-point curves of both built-in models
