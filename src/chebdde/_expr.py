@@ -196,15 +196,7 @@ def parse_expr(text: str) -> Expr:
         tree = parser.parse()
     except RecursionError:
         raise ExprSyntaxError("expression nested too deeply", parser.peek()[2]) from None
-    deepest, stack = 0, [(tree, 1)]
-    while stack:
-        node, level = stack.pop()
-        deepest = max(deepest, level)
-        if isinstance(node, BinOp):
-            stack += [(node.left, level + 1), (node.right, level + 1)]
-        elif isinstance(node, (Neg, Call)):
-            stack.append((node.arg, level + 1))
-    if deepest > MAX_DEPTH:
+    if max(depth for _, depth in _walk(tree)) > MAX_DEPTH:
         raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", 0)
     return tree
 
@@ -260,39 +252,27 @@ def to_text(node: Expr) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _walk(node: Expr):
+    """Every node of the tree with its depth, the root at 1; a loop, not a
+    recursion, so it walks trees of any depth."""
+    stack = [(node, 1)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        if isinstance(node, BinOp):
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        elif isinstance(node, (Neg, Call)):
+            stack.append((node.arg, depth + 1))
+
+
 def state_symbols(node: Expr) -> set:
     """All (comp, lag) pairs referenced by the tree."""
-    out = set()
-    stack = [node]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, State):
-            out.add((e.comp, e.lag))
-        elif isinstance(e, Neg):
-            stack.append(e.arg)
-        elif isinstance(e, BinOp):
-            stack.append(e.left)
-            stack.append(e.right)
-        elif isinstance(e, Call):
-            stack.append(e.arg)
-    return out
+    return {(e.comp, e.lag) for e, _ in _walk(node) if isinstance(e, State)}
 
 
 def param_names(node: Expr) -> set:
-    out = set()
-    stack = [node]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Param):
-            out.add(e.name)
-        elif isinstance(e, Neg):
-            stack.append(e.arg)
-        elif isinstance(e, BinOp):
-            stack.append(e.left)
-            stack.append(e.right)
-        elif isinstance(e, Call):
-            stack.append(e.arg)
-    return out
+    """All parameter names referenced by the tree."""
+    return {e.name for e, _ in _walk(node) if isinstance(e, Param)}
 
 
 def evaluate(node: Expr, state, params, funcs=None):

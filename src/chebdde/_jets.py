@@ -16,14 +16,6 @@ class Jet3:
     def __init__(self, c0, c1=0.0, c2=0.0, c3=0.0):
         self.c = (complex(c0), complex(c1), complex(c2), complex(c3))
 
-    @staticmethod
-    def constant(value) -> "Jet3":
-        return Jet3(value)
-
-    @staticmethod
-    def variable(value, direction=1.0) -> "Jet3":
-        return Jet3(value, direction)
-
     def __repr__(self):
         return f"Jet3{self.c!r}"
 

@@ -260,9 +260,7 @@ def _cmd_curve(args):
 
 
 def _cmd_converge(args):
-    model = get_model(args.model)
-    fixed = _parse_overrides(args.set)
-    rows = convergence_study(model, args.param, fixed, args.n_list,
+    rows = convergence_study(_load_model(args), args.param, args.n_list,
                              omega_guess=args.omega, alpha_guess=args.alpha,
                              reference=args.reference)
     header = ["n", "alpha_err", "omega_err", "a2_err", "sigma",
@@ -411,7 +409,8 @@ def _build_parser():
     sub = subs.add_parser("converge", help="critical-point errors over a list of degrees")
     _add_model_opts(sub)
     sub.add_argument("--n-list", required=True, type=_int_list, metavar="N1,N2,...")
-    sub.add_argument("--reference", choices=["analytic", "finest"], default=None)
+    sub.add_argument("--reference", choices=["analytic", "finest"], default="analytic",
+                     help="the exact problem (default) or the finest degree")
     sub.add_argument("--omega", type=_positive_float, default=None)
     sub.add_argument("--alpha", type=_finite_float, default=None)
     sub.set_defaults(func=_cmd_converge)

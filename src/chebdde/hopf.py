@@ -516,47 +516,38 @@ def _seed_omega(model, n: int) -> float:
     return float(cands[int(np.argmin(np.abs(cands.real)))].imag)
 
 
-def convergence_study(model, param: str, fixed, n_list, omega_guess=None,
-                      alpha_guess=None, reference=None):
+def convergence_study(model, param: str, n_list, omega_guess=None,
+                      alpha_guess=None, reference="analytic"):
     """Locate the critical point at every degree in n_list and tabulate the
     errors against a reference, plus the bounded-away-from-zero diagnostics.
 
     reference selects the comparison point: "analytic" uses the exact
-    characteristic function, "finest" the largest degree in n_list, and
-    None tries the analytic route first with a fallback to the finest
-    degree. Rows for degrees where the search fails carry the error code
-    instead of aborting the study.
+    characteristic function, "finest" the largest degree in n_list; a
+    reference that cannot be located raises its error. Rows for degrees
+    where the search fails carry the error code instead of aborting the
+    study.
     """
-    base = model.with_params(**dict(fixed or {}))
-    if param not in base.params:
+    if param not in model.params:
         raise UnknownSymbolError(f"unknown parameter {param!r}")
     n_list = [int(n) for n in n_list]
     if not n_list:
         raise ValueError("n_list must be non-empty")
     if alpha_guess is None:
-        alpha_guess = float(base.params[param])
+        alpha_guess = float(model.params[param])
     if omega_guess is None:
-        omega_guess = _seed_omega(base, max(n_list))
-    if reference not in (None, "analytic", "finest"):
+        omega_guess = _seed_omega(model, max(n_list))
+    if reference not in ("analytic", "finest"):
         raise ValueError(f"unknown reference mode {reference!r}")
 
     points = {}
 
     def locate(n):
         if n not in points:
-            points[n] = find_hopf(make_system(base, n), param, omega_guess,
+            points[n] = find_hopf(make_system(model, n), param, omega_guess,
                                   alpha_guess)
         return points[n]
 
-    ref = None
-    if reference in (None, "analytic"):
-        try:
-            ref = locate(None)
-        except ChebddeError:
-            if reference == "analytic":
-                raise
-    if ref is None:
-        ref = locate(max(n_list))
+    ref = locate(None if reference == "analytic" else max(n_list))
 
     rows = []
     for n in n_list:

@@ -164,9 +164,6 @@ class DdeModel:
             derivs=self.derivs,
         )
 
-    def rhs_text(self) -> list:
-        return [to_text(e) for e in self.rhs]
-
 
 @dataclass(frozen=True)
 class LinearPart:
@@ -176,13 +173,8 @@ class LinearPart:
     parameter name; when absent, consumers fall back to finite differences.
     """
 
-    delays: tuple
-    mats: tuple  # one d x d array per delay
+    mats: tuple  # one d x d array per delay of the model
     param_derivs: Optional[dict] = None
-
-    @property
-    def dim(self) -> int:
-        return self.mats[0].shape[0]
 
 
 def make_model(
@@ -302,11 +294,6 @@ def get_model(name_or_path: str) -> DdeModel:
     return load_model(name_or_path)
 
 
-def collapsed_rhs(model: DdeModel, x) -> np.ndarray:
-    """Right-hand side with every lag evaluated at the same constant state."""
-    return model.derivs.first(x, model.params)[0]
-
-
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.linalg.solve(a, b), bit for bit, without its call for a 1 x 1 a.
 
@@ -377,7 +364,7 @@ def _at_point(model: DdeModel, guess=None, equilibrium=None) -> tuple:
         derivs = _param_jacobians(model, xbar, grad)
     except np.linalg.LinAlgError:
         derivs = None
-    return xbar, LinearPart(model.delays, mats, derivs), steps
+    return xbar, LinearPart(mats, derivs), steps
 
 
 def linearize(model: DdeModel, xbar) -> LinearPart:

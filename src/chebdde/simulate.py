@@ -42,7 +42,6 @@ __all__ = [
     "Trajectory",
     "sample_history",
     "integrate",
-    "estimate_period",
     "period_report",
     "bracket_period_doubling",
 ]
@@ -149,9 +148,6 @@ class Trajectory:
     states: np.ndarray
     errors: np.ndarray
     stats: dict = field(default_factory=dict)
-
-    def component(self, index: int) -> np.ndarray:
-        return self.states[:, index]
 
 
 def sample_history(ps: PsSystem, phi) -> np.ndarray:
@@ -367,7 +363,7 @@ def period_report(traj: Trajectory, component: int = 0, skip: float = 0.6) -> di
     if not 0 <= component < size:
         raise ValueError(f"component must lie in [0, {size}), got {component}")
     t = traj.times
-    x = traj.component(component)
+    x = traj.states[:, component]
     t_cut = t[0] + skip * (t[-1] - t[0])
     sel = t >= t_cut
     t, x = t[sel], x[sel]
@@ -406,16 +402,12 @@ def period_report(traj: Trajectory, component: int = 0, skip: float = 0.6) -> di
     }
 
 
-def estimate_period(traj: Trajectory, component: int = 0, skip: float = 0.6) -> float:
-    return period_report(traj, component, skip)["period"]
-
-
 def _attractor_period(model: DdeModel, n: int, t_end: float) -> float:
     ps = make_system(model, n)
     y0 = replicate(ps.equilibrium, n)
     y0 += 0.2 * (1.0 + np.abs(y0))  # kick off the equilibrium
     traj = integrate(ps, y0, t_end, rel_tol=1e-7, abs_tol=1e-9)
-    return estimate_period(traj, 0, 0.6)
+    return period_report(traj)["period"]
 
 
 def bracket_period_doubling(

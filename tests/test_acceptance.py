@@ -27,7 +27,7 @@ from chebdde.discretize import (
 from chebdde.errors import PeriodEstimateError, NotPeriodicError
 from chebdde.hopf import find_hopf, trace_hopf_curve
 from chebdde.model import blowflies, fluidflow, make_model
-from chebdde.simulate import bracket_period_doubling, estimate_period, integrate
+from chebdde.simulate import bracket_period_doubling, integrate, period_report
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -209,14 +209,14 @@ def test_criterion_7_attractor_periods():
 
     ps, y0 = kicked_state(blowflies(mu=7.0, beta=105.0), 20)
     traj = integrate(ps, y0, 200.0, rel_tol=1e-7, abs_tol=1e-9)
-    period = estimate_period(traj)
+    period = period_report(traj)["period"]
     clauses.append(("blowflies period 4.47",
                     abs(period - 4.47) / 4.47 < 0.05, f"measured {period:.4f}"))
 
     ps, y0 = kicked_state(fluidflow(k=1.5, c=1.5), 20)
     traj = integrate(ps, y0, 400.0, rel_tol=1e-7, abs_tol=1e-9)
     try:
-        period = estimate_period(traj)
+        period = period_report(traj)["period"]
         clauses.append(("fluid-flow period 11.15",
                         abs(period - 11.15) / 11.15 < 0.05, f"measured {period:.4f}"))
     except (PeriodEstimateError, NotPeriodicError) as exc:

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebdde import cli
+from chebdde import cli, hopf
 from chebdde.analytic import admissible_omegas, boundary, c_blowfly
 from chebdde.discretize import assemble_An, eigenvalues, make_system
+from chebdde.errors import ConvergenceError
 from chebdde.hopf import find_hopf
 from chebdde.model import blowflies
 
@@ -182,6 +183,39 @@ def test_converge_table_shrinks(capsys):
     errs = [float(r[1]) for r in rows]
     assert errs[0] > errs[1] > errs[2]
     assert all(r[7] == "" for r in rows)
+
+
+_CONVERGE_MU4 = ["converge", "--model", "blowflies", "--param", "beta", "--set", "mu=4",
+                 "--n-list", "4,6,8"]
+
+
+def test_converge_reference_defaults_to_analytic(capsys):
+    explicit = run(capsys, _CONVERGE_MU4 + ["--reference", "analytic"])
+    assert explicit[0] == 0 and explicit[2] == ""
+    assert run(capsys, _CONVERGE_MU4) == explicit
+
+
+def test_converge_without_an_exact_point_is_an_error(capsys, monkeypatch):
+    # the errors are measured against the exact point; when it cannot be
+    # located the study fails rather than measure the degrees against one
+    # of their own
+    real = hopf.find_hopf
+
+    def exact_fails(cf, *args):
+        if cf.n is None:
+            raise ConvergenceError("no exact critical point")
+        return real(cf, *args)
+
+    monkeypatch.setattr(hopf, "find_hopf", exact_fails)
+    for reference in ([], ["--reference", "analytic"]):
+        code, out, err = run(capsys, _CONVERGE_MU4 + reference)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "no_convergence",
+                                   "message": "no exact critical point"}
+    # the finest degree needs no exact point
+    code, out, _ = run(capsys, _CONVERGE_MU4 + ["--reference", "finest"])
+    assert code == 0
+    assert rows_of(out)[1][-1][1:4] == ["0.0", "0.0", "0.0"]
 
 
 def test_simulate_writes_csv_and_period_json(capsys, tmp_path):

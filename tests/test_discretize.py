@@ -79,15 +79,13 @@ def test_rhs_zero_at_equilibrium():
 def test_rhs_constant_state_reduces_to_collapsed():
     # for any constant state the tail rows vanish and the head is the
     # collapsed rhs: steady states correspond one-to-one in both directions
-    from chebdde.model import collapsed_rhs
-
     rng = np.random.default_rng(3)
     for model in (blowflies(MU, BETA), fluidflow()):
         ps = make_system(model, 6)
         for _ in range(5):
             v = rng.uniform(0.2, 2.0, size=model.dim)
             out = rhs(ps, replicate(v, 6)).reshape(7, model.dim)
-            assert np.max(np.abs(out[0] - collapsed_rhs(model, v))) < 1e-12
+            assert np.max(np.abs(out[0] - model.derivs.first(v, model.params)[0])) < 1e-12
             assert np.max(np.abs(out[1:])) < 1e-12
 
 

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chebdde._expr import (
+    MAX_DEPTH,
     BinOp,
     Call,
     Neg,
@@ -12,7 +13,9 @@ from chebdde._expr import (
     State,
     compile_rhs,
     evaluate,
+    param_names,
     parse_expr,
+    state_symbols,
     to_text,
 )
 from chebdde.discretize import make_system, replicate, rhs
@@ -236,6 +239,36 @@ def test_compiled_writer_equals_evaluate_into_a_fresh_or_aliased_row(case):
     assert np.array_equal(fresh, want, equal_nan=True)
     assert np.array_equal(aliased[-1], want, equal_nan=True)
     assert np.array_equal(aliased[:-1], vals[:-1])
+
+
+def _leaves(node, kind) -> list:
+    """The leaves of one kind, collected by recursion."""
+    if isinstance(node, kind):
+        return [node]
+    if isinstance(node, BinOp):
+        return _leaves(node.left, kind) + _leaves(node.right, kind)
+    if isinstance(node, (Neg, Call)):
+        return _leaves(node.arg, kind)
+    return []
+
+
+@given(_writer_cases())
+def test_symbol_sets_equal_a_recursive_collection(case):
+    for tree in case[0]:
+        assert state_symbols(tree) == {(s.comp, s.lag) for s in _leaves(tree, State)}
+        assert param_names(tree) == {p.name for p in _leaves(tree, Param)}
+
+
+@pytest.mark.parametrize("text", [
+    # a left-leaning chain of sums, and nested negations: one level per
+    # operator, and the leaf
+    lambda levels: "x0@0" + " + x0@0" * (levels - 1),
+    lambda levels: "-" * (levels - 1) + "a",
+], ids=["sums", "negations"])
+def test_parse_takes_max_depth_levels_and_refuses_one_more(text):
+    parse_expr(text(MAX_DEPTH))
+    with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_DEPTH} levels"):
+        parse_expr(text(MAX_DEPTH + 1))
 
 
 def test_compiled_rhs_errors_reach_the_integrator():

@@ -645,7 +645,7 @@ def test_trace_input_validation():
 
 def test_convergence_study_decreases_to_floor():
     rows = convergence_study(
-        blowflies(MU, 25.0), "beta", {"mu": MU}, list(range(4, 17)),
+        blowflies(MU, 25.0), "beta", list(range(4, 17)),
         reference="analytic",
     )
     assert [r.n for r in rows] == list(range(4, 17))
@@ -664,7 +664,7 @@ def test_convergence_study_decreases_to_floor():
 
 def test_convergence_study_finest_reference_zero_row():
     rows = convergence_study(
-        blowflies(MU, 25.0), "beta", {"mu": MU}, [6, 10, 14],
+        blowflies(MU, 25.0), "beta", [6, 10, 14],
         reference="finest",
     )
     last = rows[-1]
@@ -679,7 +679,7 @@ def test_convergence_study_records_failures_per_row():
     # the n=1 collocation pins the real part of its complex pair, so the
     # Newton search cannot cross and the row records the error code
     rows = convergence_study(
-        blowflies(MU, 25.0), "beta", {"mu": MU}, [1, 8, 12],
+        blowflies(MU, 25.0), "beta", [1, 8, 12],
         reference="analytic", omega_guess=2.4, alpha_guess=25.0,
     )
     assert rows[0].failure == "no_convergence"
@@ -691,7 +691,7 @@ def test_convergence_study_records_failures_per_row():
 
 def test_convergence_study_seeds_omega_from_spectrum():
     rows = convergence_study(
-        blowflies(MU, 25.0), "beta", {"mu": MU}, [8, 12],
+        blowflies(MU, 25.0), "beta", [8, 12],
         reference="analytic",
     )
     assert all(r.failure is None for r in rows)
@@ -701,6 +701,8 @@ def test_convergence_study_seeds_omega_from_spectrum():
 def test_convergence_study_validation():
     m = blowflies(MU, 25.0)
     with pytest.raises(ValueError):
-        convergence_study(m, "beta", {"mu": MU}, [])
+        convergence_study(m, "beta", [])
     with pytest.raises(ValueError):
-        convergence_study(m, "beta", {"mu": MU}, [6], reference="best")
+        convergence_study(m, "beta", [6], reference="best")
+    with pytest.raises(ValueError):
+        convergence_study(m, "beta", [6], reference=None)

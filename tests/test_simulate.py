@@ -22,7 +22,6 @@ from chebdde.simulate import (
     _E5,
     Trajectory,
     bracket_period_doubling,
-    estimate_period,
     integrate,
     period_report,
     sample_history,
@@ -139,7 +138,6 @@ def test_trajectory_fields_consistent():
     assert traj.times.shape[0] == traj.states.shape[0] == traj.errors.shape[0]
     assert traj.errors[0] == 0.0
     assert np.all(traj.errors <= 1.0)
-    assert np.array_equal(traj.component(0), traj.states[:, 0])
 
 
 def test_blowflies_attractor_bounded_oscillatory():
@@ -152,7 +150,7 @@ def test_blowflies_attractor_bounded_oscillatory():
 def test_estimate_period_synthetic_sine():
     T = 3.7
     t = np.linspace(0.0, 40 * T, 8000)
-    p = estimate_period(synthetic(np.sin(2 * np.pi * t / T), t), 0, 0.1)
+    p = period_report(synthetic(np.sin(2 * np.pi * t / T), t), 0, 0.1)["period"]
     assert abs(p - T) / T < 1e-6
 
 
@@ -170,37 +168,37 @@ def test_estimate_period_quasiperiodic_flagged():
     t = np.linspace(0.0, 150.0, 8000)
     x = np.sin(2 * np.pi * t / 3.0) + 0.8 * np.sin(2.0 * t)
     with pytest.raises(NotPeriodicError):
-        estimate_period(synthetic(x, t), 0, 0.1)
+        period_report(synthetic(x, t), 0, 0.1)
 
 
 def test_estimate_period_not_oscillatory():
     t = np.linspace(0.0, 100.0, 2000)
     with pytest.raises(PeriodEstimateError):
-        estimate_period(synthetic(t.copy(), t), 0, 0.1)  # monotone
+        period_report(synthetic(t.copy(), t), 0, 0.1)  # monotone
     with pytest.raises(PeriodEstimateError):
-        estimate_period(synthetic(np.full_like(t, 2.0), t), 0, 0.1)  # flat
+        period_report(synthetic(np.full_like(t, 2.0), t), 0, 0.1)  # flat
 
 
 def test_estimate_period_skip_validation():
     t = np.linspace(0.0, 10.0, 100)
     traj = synthetic(np.sin(t), t)
     with pytest.raises(ValueError):
-        estimate_period(traj, 0, 1.0)
+        period_report(traj, 0, 1.0)
     with pytest.raises(ValueError):
-        estimate_period(traj, 0, -0.1)
+        period_report(traj, 0, -0.1)
 
 
 def test_period_same_in_every_component():
     _, _, traj = blowflies_run()
-    periods = [estimate_period(traj, c) for c in (0, 7, 20)]
+    periods = [period_report(traj, c)["period"] for c in (0, 7, 20)]
     for p in periods[1:]:
         assert abs(p - periods[0]) / periods[0] < 1e-3
 
 
 def test_period_independent_of_tolerance():
     ps, y0, traj = blowflies_run()
-    p1 = estimate_period(traj)
-    p2 = estimate_period(integrate(ps, y0, 200.0, rel_tol=5e-8, abs_tol=5e-10))
+    p1 = period_report(traj)["period"]
+    p2 = period_report(integrate(ps, y0, 200.0, rel_tol=5e-8, abs_tol=5e-10))["period"]
     assert abs(p1 - p2) / p1 < 1e-3
 
 
@@ -232,7 +230,7 @@ def test_fluidflow_equilibrium_attracts_at_unit_coupling():
     traj = integrate(ps, y0, 200.0, rel_tol=1e-7, abs_tol=1e-9)
     assert np.max(np.abs(traj.states[-1] - replicate(ps.equilibrium, 20))) < 1e-4
     with pytest.raises(PeriodEstimateError):
-        estimate_period(traj)
+        period_report(traj)
 
 
 def test_fluidflow_band_orbit():
