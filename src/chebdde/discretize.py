@@ -14,8 +14,10 @@ exactly the roots of Delta_n. PsSystem is the model at one parameter point
 for either problem (make_system(model) is the delay equation itself); it
 solves for its equilibrium on first read, which time stepping never does.
 One jet per shift assembles Delta with its lambda- and parameter-derivatives
-for the charfn_* functions and the Hopf paths. At a degree the eigenvectors
-on both sides and a resolvent that never forms (lambda I - A_n) follow too.
+for the charfn_* functions and the Hopf paths, one update per delay over
+the linearization's [C_k | dC_k/dalpha_j] slots. At a degree the
+eigenvectors on both sides and a resolvent that never forms
+(lambda I - A_n) follow too.
 
 Lag solves go through numpy.linalg.solve (LAPACK's gesv), whose bits do not
 depend on the BLAS thread count; no command but the degree-n chart imports
@@ -271,45 +273,39 @@ def rhs(ps: PsSystem, state) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _combine(out: np.ndarray, mats, vals) -> np.ndarray:
-    """out - sum_k mats_k vals_k."""
-    for mat, val in zip(mats, vals):
-        out -= mat * val
-    return out
-
-
 def _jet(ps: PsSystem, lam: complex, params=(), slope: bool = True) -> tuple:
-    """Delta(lambda), its lambda-derivative (None unless slope) and its
-    derivatives in the named parameters (see _dalpha), as d x d arrays: the
-    one place Delta is assembled, from one lag_values(lambda) and one
-    lag_values(lambda, 1)."""
+    """Delta(lambda), its lambda-derivative (None unless slope) and a lazy
+    iterator over its derivatives in the named parameters, as d x d arrays:
+    the one place Delta is assembled. out -= stack_k v_k(lambda) per delay
+    from [lambda I, 0, ...] gives Delta and every analytic parameter slot;
+    a caller checks Delta before a fold's difference quotient runs."""
     lam = complex(lam)
-    mats, vals = ps.linear.mats, ps.lag_values(lam)
-    delta = _combine(lam * _identity(ps.dim, complex), mats, vals)
-    dl = (_combine(_identity(ps.dim, complex).copy(), mats, ps.lag_values(lam, 1))
-          if slope else None)
-    return delta, dl, _dalpha(ps, lam, vals, params)
+    stack = ps.linear.stack
+    out = np.zeros(stack.shape[1:], dtype=complex)
+    np.multiply(lam, _identity(ps.dim, complex), out=out[0])
+    for slots, val in zip(stack, ps.lag_values(lam)):
+        out -= slots * val
+    dl = None
+    if slope:
+        dl = _identity(ps.dim, complex).copy()
+        for slots, val in zip(stack, ps.lag_values(lam, 1)):
+            dl -= slots[0] * val
+    return out[0], dl, (_dalpha(ps, lam, out, name) for name in params)
 
 
-def _dalpha(ps: PsSystem, lam: complex, vals, params) -> list:
-    """Delta's derivatives at lambda in the named parameters, given the lag
-    values there: analytic, or at a fold a central difference of Delta
-    rebuilt on either side."""
-    derivs = ps.linear.param_derivs or {}
-    dalpha = []
-    for name in params:
-        if name in derivs:
-            start = np.zeros((ps.dim, ps.dim), dtype=complex)
-            dalpha.append(_combine(start, derivs[name], vals))
-            continue
-        if name not in ps.model.params:
-            raise UnknownSymbolError(f"unknown parameter {name!r}")
-        alpha = float(ps.model.params[name])
-        h = 1e-6 * max(1.0, abs(alpha))
-        hi = _jet(ps.with_param(name, alpha + h), lam, slope=False)[0]
-        lo = _jet(ps.with_param(name, alpha - h), lam, slope=False)[0]
-        dalpha.append((hi - lo) / (2.0 * h))
-    return dalpha
+def _dalpha(ps: PsSystem, lam: complex, out, name: str) -> np.ndarray:
+    """Delta's derivative at lambda in one parameter: its slot of the jet's
+    out, or at a fold a central difference of Delta rebuilt on either side."""
+    names = ps.linear.names
+    if names is not None and name in names:
+        return out[1 + names.index(name)]
+    if name not in ps.model.params:
+        raise UnknownSymbolError(f"unknown parameter {name!r}")
+    alpha = float(ps.model.params[name])
+    h = 1e-6 * max(1.0, abs(alpha))
+    hi = _jet(ps.with_param(name, alpha + h), lam, slope=False)[0]
+    lo = _jet(ps.with_param(name, alpha - h), lam, slope=False)[0]
+    return (hi - lo) / (2.0 * h)
 
 
 def charfn_eval(ps: PsSystem, lam: complex):
@@ -334,7 +330,7 @@ def charfn_dlambda(ps: PsSystem, lam: complex):
 def charfn_dalpha(ps: PsSystem, lam: complex, param: str):
     """Parameter derivative of Delta: analytic along the equilibrium branch,
     a central difference of the rebuilt Delta at a fold."""
-    val = _jet(ps, lam, (param,), slope=False)[2][0]
+    (val,) = _jet(ps, lam, (param,), slope=False)[2]
     return val[0, 0] if ps.dim == 1 else val
 
 

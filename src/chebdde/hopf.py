@@ -22,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from .discretize import (
-    _dalpha,
     _jet,
     _root_data,
     _smin,
@@ -273,7 +272,7 @@ def hopf_point(cf, param: str, omega: float, alpha: float,
     alpha = float(alpha)
     cur = _at_alpha(cf, param, alpha)
     lam = 1j * omega
-    delta, dl, _ = _jet(cur, lam)
+    delta, dl, dalphas = _jet(cur, lam, (param,))
     _, _, root_res, p, q = _root_data(delta)
     if not root_res < RES_TOL * (1.0 + abs(omega)):
         raise NotARootError(
@@ -282,7 +281,7 @@ def hopf_point(cf, param: str, omega: float, alpha: float,
         )
     simplicity = _smin(dl)
     p, q = _critical_pair(lam, p, q, dl)
-    dalpha = _dalpha(cur, lam, cur.lag_values(lam), (param,))[0]
+    (dalpha,) = dalphas  # read after the root and pair checks
     sigma = float((q @ (dalpha @ p)).real)
     c, known = _lyapunov(cur, omega, (p, q))
     a2 = c.real / sigma if sigma != 0.0 else math.nan
@@ -554,18 +553,8 @@ def convergence_study(model, param: str, n_list, omega_guess=None,
         try:
             h = locate(n)
         except ChebddeError as exc:
-            rows.append(
-                StudyRow(
-                    n=n,
-                    alpha_err=math.nan,
-                    omega_err=math.nan,
-                    a2_err=math.nan,
-                    sigma=math.nan,
-                    simplicity=math.nan,
-                    nonres_margin=math.nan,
-                    failure=exc.code,
-                )
-            )
+            # every column but n is NaN
+            rows.append(StudyRow(n, *[math.nan] * 6, failure=exc.code))
             continue
         margin = min(m for _, m in h.nonresonance.margins)
         rows.append(

@@ -7,9 +7,10 @@ and third derivative tensors the Hopf normal form contracts come from
 symbolic derivatives of the expression trees, compiled once per model (the
 third on first use), so they are exact derivatives, not difference
 quotients, and the equilibrium Newton's last Jacobian is the linearization.
-For a scalar model the Newton step and the equilibrium drift divide by the
-1 x 1 collapsed Jacobian with the operations LAPACK's solve makes, so they
-are the same numbers without its call.
+The Newton runs on Python floats; for a scalar model its step and the
+equilibrium drift divide by the 1 x 1 collapsed Jacobian with the
+operations LAPACK's solve makes, so they are the same numbers without its
+call.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -84,7 +86,9 @@ class _Derivatives:
         self._first = compile_rows(first, self.names)
         self._second = compile_rows(second, self.names)
 
-    def _rows(self, fns, x, params) -> np.ndarray:
+    def _rows(self, fns, x, params) -> list:
+        """fns at the constant state x, one list of Python floats per
+        component; EvalDomainError where one fails or is complex."""
         x = [float(v) for v in x]
         p = [float(params[name]) for name in self.names]
         rows = []
@@ -93,19 +97,20 @@ class _Derivatives:
                 rows.append(fn(x, p))
             except (ZeroDivisionError, ValueError, OverflowError) as exc:
                 raise EvalDomainError(str(exc), text) from None
-        try:
-            return np.array(rows, dtype=float)
-        except TypeError:
+        for row, text in zip(rows, self.texts):
             # Python's ** gives a complex number for a fractional power of a
             # negative base instead of raising
-            for row, text in zip(rows, self.texts):
-                if any(isinstance(v, complex) for v in row):
-                    raise EvalDomainError("complex result", text) from None
-            raise
+            if complex in map(type, row):
+                raise EvalDomainError("complex result", text)
+        return rows
 
     def first(self, x, params):
         """f, shape (d,), and df/dv, shape (d, K, d) indexed [row, lag, comp]."""
-        rows = self._rows(self._first, x, params)
+        return self.first_arrays(self._rows(self._first, x, params))
+
+    def first_arrays(self, rows):
+        """first()'s arrays from _rows' lists of its compiled rows."""
+        rows = np.array(rows, dtype=float)
         return rows[:, 0], rows[:, 1:].reshape(self.shape)
 
     def second(self, x, params):
@@ -113,7 +118,7 @@ class _Derivatives:
         over the m = K d slots and the P parameters."""
         d, n_lags, _ = self.shape
         m, n_par = n_lags * d, len(self.names)
-        rows = self._rows(self._second, x, params)
+        rows = np.array(self._rows(self._second, x, params), dtype=float)
         f_alpha, rest = rows[:, :n_par], rows[:, n_par:]
         hess = rest[:, : m * m].reshape(d, m, m)
         mixed = rest[:, m * m :].reshape(d, m, n_par)
@@ -128,7 +133,8 @@ class _Derivatives:
         """d3f/dv dv' dv'', shape (d, m, m, m) over the m = K d slots;
         compiled on first use."""
         m = len(self._slots)
-        return self._rows(self._third, x, params).reshape(-1, m, m, m)
+        rows = np.array(self._rows(self._third, x, params), dtype=float)
+        return rows.reshape(-1, m, m, m)
 
 
 @dataclass(frozen=True)
@@ -154,27 +160,30 @@ class DdeModel:
         hint = self.equilibrium_hint
         if self.hint_fn is not None:
             hint = tuple(self.hint_fn(params))
-        return DdeModel(
-            dim=self.dim,
-            delays=self.delays,
-            rhs=self.rhs,
-            params=params,
-            equilibrium_hint=hint,
-            hint_fn=self.hint_fn,
-            derivs=self.derivs,
-        )
+        return DdeModel(self.dim, self.delays, self.rhs, params, hint, self.hint_fn,
+                        self.derivs)
 
 
 @dataclass(frozen=True)
 class LinearPart:
-    """Point-delay linear structure sum_k C_k x(t - tau_k) at an equilibrium.
+    """Point-delay linear structure sum_k C_k x(t - tau_k) at an equilibrium,
+    as one real C-ordered array: stack[k, 0] is C_k and stack[k, 1 + j] the
+    analytic d C_k / d alpha_j along the equilibrium branch, j over names.
+    At a fold there are no such derivatives: names is None and consumers
+    fall back to finite differences."""
 
-    param_derivs optionally registers analytic d C_k / d alpha matrices per
-    parameter name; when absent, consumers fall back to finite differences.
-    """
+    stack: np.ndarray  # (K, 1 + P, d, d), or (K, 1, d, d) at a fold
+    names: Optional[tuple] = None
 
-    mats: tuple  # one d x d array per delay of the model
-    param_derivs: Optional[dict] = None
+    @cached_property
+    def mats(self) -> tuple:
+        return tuple(self.stack[:, 0])  # views, one d x d C_k per delay
+
+    @cached_property
+    def param_derivs(self) -> Optional[dict]:
+        if self.names is None:
+            return None
+        return {name: tuple(self.stack[:, 1 + j]) for j, name in enumerate(self.names)}
 
 
 def make_model(
@@ -213,15 +222,8 @@ def make_model(
     hint = None if equilibrium_hint is None else tuple(equilibrium_hint)
     if hint_fn is not None and hint is None:
         hint = tuple(hint_fn(params))
-    return DdeModel(
-        dim=dim,
-        delays=delays,
-        rhs=trees,
-        params=params,
-        equilibrium_hint=hint,
-        hint_fn=hint_fn,
-        derivs=_Derivatives(dim, len(delays), trees, params),
-    )
+    return DdeModel(dim, delays, trees, params, hint, hint_fn,
+                    _Derivatives(dim, len(delays), trees, params))
 
 
 def blowflies(mu: float = 3.0, beta: float = 30.0) -> DdeModel:
@@ -317,27 +319,37 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _newton(model: DdeModel, guess) -> tuple:
-    """The equilibrium Newton loop: (xbar, df/dv at xbar, steps taken)."""
+    """The equilibrium Newton loop, on Python floats over the compiled first
+    rows: (xbar, df/dv at xbar, steps taken). The step solves the collapsed
+    Jacobian (every lag of a component moves alike): for a scalar model by
+    the float division _solve makes, for a system by numpy.linalg.solve."""
     if guess is None:
         guess = model.equilibrium_hint or np.zeros(model.dim)
-    x = np.asarray(guess, dtype=float).copy()
+    x = np.asarray(guess, dtype=float)
     if x.shape != (model.dim,):
         raise ValueError(f"guess must have length {model.dim}")
+    x, derivs = x.tolist(), model.derivs
     for steps in range(50):
-        f, grad = model.derivs.first(x, model.params)
-        # max |f| < 1e-12 (1 + max |x|) on Python floats; a NaN fails it
-        xs = x.tolist()
-        tol = 1e-12 * (1.0 + max(map(abs, xs)))
-        if all(abs(v) < tol for v in f.tolist()) and not any(map(math.isnan, xs)):
-            return x, grad, steps
+        rows = derivs._rows(derivs._first, x, model.params)
+        # max |f| < 1e-12 (1 + max |x|); a NaN fails it
+        tol = 1e-12 * (1.0 + max(map(abs, x)))
+        if all(abs(row[0]) < tol for row in rows) and not any(map(math.isnan, x)):
+            return np.array(x), derivs.first_arrays(rows)[1], steps
         try:
-            # the collapsed Jacobian: every lag of a component moves alike
-            step = _solve(grad.sum(axis=1), f)
-        except np.linalg.LinAlgError:
+            if model.dim == 1:
+                # summed as ndarray.sum does, pairwise from 8 lags on; a
+                # zero pivot raises ZeroDivisionError
+                lags = rows[0][1:]
+                pivot = reduce(add, lags, 0.0) if len(lags) < 8 else np.add.reduce(lags)
+                x = [x[0] - rows[0][0] / float(pivot)]
+            else:
+                f, grad = derivs.first_arrays(rows)
+                step = np.linalg.solve(grad.sum(axis=1), f).tolist()
+                x = [a - b for a, b in zip(x, step)]
+        except (ZeroDivisionError, np.linalg.LinAlgError):
             raise ConvergenceError(
                 "singular collapsed Jacobian during equilibrium Newton"
             ) from None
-        x -= step
     raise ConvergenceError("equilibrium Newton did not converge in 50 iterations")
 
 
@@ -355,16 +367,19 @@ def _at_point(model: DdeModel, guess=None, equilibrium=None) -> tuple:
     else:
         xbar, steps = np.asarray(equilibrium, dtype=float), 0
         grad = model.derivs.first(xbar, model.params)[1]
-    bad = ~np.isfinite(grad)
-    if bad.any():
-        row = model.derivs.texts[np.nonzero(bad)[0][0]]
+    if not np.isfinite(grad).all():
+        row = model.derivs.texts[np.nonzero(~np.isfinite(grad))[0][0]]
         raise EvalDomainError("non-finite derivative at the equilibrium", row)
-    mats = tuple(grad.transpose(1, 0, 2).copy())
+    names = model.derivs.names
     try:
-        derivs = _param_jacobians(model, xbar, grad)
+        total = _param_jacobians(model, xbar, grad)
     except np.linalg.LinAlgError:
-        derivs = None
-    return xbar, LinearPart(mats, derivs), steps
+        total, names = np.zeros(grad.shape + (0,)), None
+    # the slots [C_k | d C_k / d alpha_j], C-ordered as LinearPart says
+    d, n_lags, _, n_par = total.shape
+    stack = np.empty((n_lags, 1 + n_par, d, d))
+    stack[:, 0], stack[:, 1:] = grad.transpose(1, 0, 2), total.transpose(1, 3, 0, 2)
+    return xbar, LinearPart(stack, names), steps
 
 
 def linearize(model: DdeModel, xbar) -> LinearPart:
@@ -382,22 +397,22 @@ def param_jacobians(model: DdeModel, xbar) -> dict:
     the equilibrium branch through xbar, one tuple of d x d matrices per
     parameter name. Raises numpy.linalg.LinAlgError at a fold, where the
     branch has no smooth parametrization."""
-    return _param_jacobians(model, xbar, model.derivs.first(xbar, model.params)[1])
+    derivs = linearize(model, xbar).param_derivs
+    if derivs is None:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return derivs
 
 
-def _param_jacobians(model: DdeModel, xbar, grad) -> dict:
+def _param_jacobians(model: DdeModel, xbar, grad) -> np.ndarray:
     # the mixed derivative d2f/dv dalpha plus the chain term through the
     # equilibrium drift d xbar / d alpha = -A^{-1} df/dalpha, with A = the
-    # collapsed Jacobian grad.sum(axis=1), singular at a fold
-    if not model.params:
-        return {}
+    # collapsed Jacobian grad.sum(axis=1), singular at a fold; the result
+    # is indexed [row, lag, comp, parameter]
     d, n_lags = model.dim, len(model.delays)
+    if not model.params:
+        return np.zeros((d, n_lags, d, 0))
     f_alpha, hess, mixed = model.derivs.second(xbar, model.params)
     drift = -_solve(grad.sum(axis=1), f_alpha)
     # the drift moves every lag of a component alike
     hess_collapsed = hess.reshape(d, -1, n_lags, d).sum(axis=2)
-    total = (mixed + hess_collapsed @ drift).reshape(d, n_lags, d, -1)
-    return {
-        name: tuple(total[:, lag, :, j].copy() for lag in range(n_lags))
-        for j, name in enumerate(model.derivs.names)
-    }
+    return (mixed + hess_collapsed @ drift).reshape(d, n_lags, d, -1)

@@ -13,6 +13,11 @@ cardinal row of the mesh and the model's compiled derivative tensors).
   of the scalar family x' = b1 x(t) + b2 x(t-1).
 - The delay equation's Hopf boundary of that family and the blowfly
   Lyapunov coefficient along it, in closed form with the math module.
+- The equilibrium Newton loop on numpy arrays, the parameter derivatives
+  of the C_k one d x d copy per delay and parameter, and Delta's jet
+  assembled one matrix and one delay at a time: the array forms of the
+  float Newton, the stacked linearization and the stacked jet the library
+  runs.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ import math
 import numpy as np
 
 from chebdde.cheb_mesh import Mesh, _bary_coeffs
-from chebdde.errors import SingularityError
-from chebdde.model import DdeModel
+from chebdde.errors import ConvergenceError, SingularityError, UnknownSymbolError
+from chebdde.model import DdeModel, _solve
 
 
 def lagrange_eval(mesh: Mesh, j: int, theta: float) -> float:
@@ -144,3 +149,79 @@ def exact_c(omega: float) -> complex:
     b10 = e1 / (1.0 + b2 * e1)
     b20 = e2 / (2j * w - b1 - b2 * e2) * b10
     return 0.5 * d3 * b10 - d2 * d2 / (b1 + b2) * b10 + 0.5 * d2 * d2 * b20
+
+
+def equilibrium_newton(model: DdeModel, guess=None) -> tuple:
+    """(xbar, df/dv at xbar, steps taken) of the equilibrium Newton on numpy
+    arrays: each iterate evaluates first(), stops on max |f| below
+    1e-12 (1 + max |x|) at a state free of NaN, and steps by solving the
+    collapsed Jacobian grad.sum(axis=1)."""
+    if guess is None:
+        guess = model.equilibrium_hint or np.zeros(model.dim)
+    x = np.asarray(guess, dtype=float).copy()
+    if x.shape != (model.dim,):
+        raise ValueError(f"guess must have length {model.dim}")
+    for steps in range(50):
+        f, grad = model.derivs.first(x, model.params)
+        xs = x.tolist()
+        tol = 1e-12 * (1.0 + max(map(abs, xs)))
+        if all(abs(v) < tol for v in f.tolist()) and not any(map(math.isnan, xs)):
+            return x, grad, steps
+        try:
+            step = _solve(grad.sum(axis=1), f)
+        except np.linalg.LinAlgError:
+            raise ConvergenceError(
+                "singular collapsed Jacobian during equilibrium Newton"
+            ) from None
+        x -= step
+    raise ConvergenceError("equilibrium Newton did not converge in 50 iterations")
+
+
+def param_jacobians_by_name(model: DdeModel, xbar) -> dict:
+    """{name: (d C_k / d alpha per delay)} along the equilibrium branch
+    through xbar: the mixed derivative plus the collapsed Hessian times the
+    drift -A^{-1} df/dalpha, each d x d block copied out on its own."""
+    grad = model.derivs.first(xbar, model.params)[1]
+    d, n_lags = model.dim, len(model.delays)
+    f_alpha, hess, mixed = model.derivs.second(xbar, model.params)
+    drift = -_solve(grad.sum(axis=1), f_alpha)
+    hess_collapsed = hess.reshape(d, -1, n_lags, d).sum(axis=2)
+    total = (mixed + hess_collapsed @ drift).reshape(d, n_lags, d, -1)
+    return {
+        name: tuple(total[:, lag, :, j].copy() for lag in range(n_lags))
+        for j, name in enumerate(model.derivs.names)
+    }
+
+
+def _combine(out: np.ndarray, mats, vals) -> np.ndarray:
+    """out - sum_k mats_k vals_k, one delay at a time."""
+    for mat, val in zip(mats, vals):
+        out -= mat * val
+    return out
+
+
+def combine_jet(ps, lam: complex, params=(), slope: bool = True) -> tuple:
+    """(Delta, D_lambda Delta or None, [D_alpha Delta per name]) at lambda,
+    each assembled on its own from lambda I (or I, or 0) minus one C_k v_k
+    per delay; at a fold, where the linearization has no parameter
+    derivatives, a central difference of Delta rebuilt on either side."""
+    lam = complex(lam)
+    eye = np.eye(ps.dim, dtype=complex)
+    mats, vals = ps.linear.mats, ps.lag_values(lam)
+    delta = _combine(lam * eye, mats, vals)
+    dl = _combine(eye.copy(), mats, ps.lag_values(lam, 1)) if slope else None
+    derivs = ps.linear.param_derivs or {}
+    dalpha = []
+    for name in params:
+        if name in derivs:
+            start = np.zeros((ps.dim, ps.dim), dtype=complex)
+            dalpha.append(_combine(start, derivs[name], vals))
+            continue
+        if name not in ps.model.params:
+            raise UnknownSymbolError(f"unknown parameter {name!r}")
+        alpha = float(ps.model.params[name])
+        h = 1e-6 * max(1.0, abs(alpha))
+        hi = combine_jet(ps.with_param(name, alpha + h), lam, slope=False)[0]
+        lo = combine_jet(ps.with_param(name, alpha - h), lam, slope=False)[0]
+        dalpha.append((hi - lo) / (2.0 * h))
+    return delta, dl, dalpha

@@ -18,6 +18,7 @@ from chebdde.discretize import assemble_An, eigenvalues, make_system
 from chebdde.errors import ConvergenceError
 from chebdde.hopf import find_hopf
 from chebdde.model import blowflies
+from _reference import combine_jet
 
 
 def run(capsys, argv):
@@ -425,6 +426,35 @@ def test_degree_n_hopf_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert results[0][2][1].count(b"\n") == 42
     assert results[0][2][2].count(b"\n") == 8
     assert results[0] == results[1]
+
+
+#: the benchmark's curve argv (mu0, then omega and beta from the exact Hopf
+#: point at mu0) at 41 points; from 2.45 and 4.675 the backward walk jumps
+#: to a branch at mu < 0 (ROADMAP item 22)
+BENCHMARK_CURVE_STARTS = [
+    ("2.45", "2.3723047407182323", "26.790790780386242", 16),
+    ("4.0", "2.5704315603359564", "35.69347681384046", 0),
+    ("4.675", "2.629270890944433", "40.02614879997615", 2),
+]
+
+
+@pytest.mark.parametrize("mu0, omega, beta, jumped", BENCHMARK_CURVE_STARTS,
+                         ids=[start[0] for start in BENCHMARK_CURVE_STARTS])
+def test_curve_bytes_equal_the_delay_by_delay_jet(mu0, omega, beta, jumped, tmp_path,
+                                                  monkeypatch, capsys):
+    # hopf's jet over the linearization's stack against the reference that
+    # assembles Delta and each derivative one matrix and one delay at a
+    # time: every row keeps its bytes, the jumped ones included
+    argv = ["curve", "--model", "blowflies", "--params", "mu,beta", "--seed-param", "beta",
+            "--set", f"mu={mu0}", "--n", "10", "--omega", omega, "--alpha", beta,
+            "--step", "0.25", "--max-points", "41", "--out"]
+    assert run(capsys, argv + [str(tmp_path / "stacked.csv")]) == (0, "", "")
+    monkeypatch.setattr(hopf, "_jet", combine_jet)
+    assert run(capsys, argv + [str(tmp_path / "reference.csv")]) == (0, "", "")
+    got = (tmp_path / "stacked.csv").read_bytes()
+    assert got == (tmp_path / "reference.csv").read_bytes()
+    mus = [float(line.split(b",")[0]) for line in got.splitlines()[1:]]
+    assert len(mus) == 41 and sum(mu < 0 for mu in mus) == jumped
 
 
 #: orbit integrations: every stage is two BLAS products (the stage point

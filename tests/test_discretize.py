@@ -30,8 +30,15 @@ from chebdde.errors import (
     SingularityError,
     UnknownSymbolError,
 )
-from chebdde.model import blowflies, equilibrium_solve, fluidflow, make_model
-from _reference import interpolate
+from chebdde.model import (
+    blowflies,
+    equilibrium_solve,
+    fluidflow,
+    linearize,
+    make_model,
+    param_jacobians,
+)
+from _reference import combine_jet, interpolate, param_jacobians_by_name
 
 MU, BETA = 3.0, 30.0
 NBAR = math.log(BETA / MU)
@@ -295,16 +302,75 @@ def test_jet_matches_public_charfn_bit_for_bit(model, n):
             complex(delta[0, 0]) if d == 1 else complex(np.linalg.det(delta)))
 
 
+def _same(a, b) -> bool:
+    """Equal shape and bits."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("model", [
+    blowflies(MU, BETA), fluidflow(), three_delay_ring(),
+    make_model(2, (0.0, 0.5, 1.0), ("-x0@0 + 0.5*sin(x1@2)", "x0@1 - 2*x1@0"),
+               equilibrium_hint=[0.0, 0.0]),
+], ids=["blowflies", "fluidflow", "ring3", "no-params"])
+def test_stacked_linearization_equals_the_public_views_bit_for_bit(model):
+    # slot 0 of each delay is C_k, slot 1 + j its derivative in the j-th
+    # parameter, from the Newton's last evaluation; linearize and
+    # param_jacobians evaluate at the equilibrium afresh, and the reference
+    # copies each block out of the derivative tensors on its own
+    ps = make_system(model)
+    stack, xbar = ps.linear.stack, ps.equilibrium
+    names, n_lags, d = tuple(model.params), len(model.delays), model.dim
+    assert stack.shape == (n_lags, 1 + len(names), d, d)
+    assert stack.flags.c_contiguous  # every d x d slot is C-ordered
+    grad = model.derivs.first(xbar, model.params)[1]
+    public, derivs = linearize(model, xbar), param_jacobians(model, xbar)
+    by_name = param_jacobians_by_name(model, xbar)
+    assert list(derivs) == list(ps.linear.param_derivs) == list(by_name) == list(names)
+    for k in range(n_lags):
+        assert _same(stack[k, 0], grad[:, k, :])
+        assert _same(stack[k, 0], public.mats[k]) and _same(stack[k, 0], ps.linear.mats[k])
+        for j, name in enumerate(names):
+            assert _same(stack[k, 1 + j], by_name[name][k])
+            assert _same(stack[k, 1 + j], derivs[name][k])
+            assert _same(stack[k, 1 + j], public.param_derivs[name][k])
+
+
+@pytest.mark.parametrize("n", [10, None], ids=["n10", "exact"])
+def test_jet_at_a_fold_takes_central_differences(n):
+    # x' = a x - x(t-1)^3 + b x(t-1): the collapsed Jacobian a + b - 3 x^2
+    # vanishes at the equilibrium 0 for a = b = 0, which every a, b keep
+    model = make_model(1, (0.0, 1.0), ("a*x0@0 - x0@1^3 + b*x0@1",),
+                       {"a": 0.0, "b": 0.0}, equilibrium_hint=[0.0])
+    ps = make_system(model, n)
+    lin = ps.linear
+    assert lin.names is None and lin.param_derivs is None
+    assert lin.stack.shape == (2, 1, 1, 1)
+    lam = 0.3 + 2.1j
+    delta, dl, dalpha = _jet(ps, lam, ("b", "a"))
+    want = combine_jet(ps, lam, ("b", "a"))
+    assert _same(delta, want[0]) and _same(dl, want[1])
+    dalpha = list(dalpha)
+    assert [_same(got, ref) for got, ref in zip(dalpha, want[2])] == [True, True]
+    # Delta = lambda - a - b v_1(lambda) + 3 xbar^2 v_1(lambda)
+    assert abs(dalpha[0][0, 0] + ps.lag_values(lam)[1]) < 1e-8
+    assert abs(dalpha[1][0, 0] + 1.0) < 1e-8
+    with pytest.raises(UnknownSymbolError):
+        list(_jet(ps, lam, ("nope",))[2])
+
+
 def test_first_derivatives_evaluated_once_at_the_equilibrium(monkeypatch):
+    # _rows evaluates every compiled derivative; the Newton iterates on its
+    # lists of the first derivatives, and first() shapes the same lists
     model = fluidflow()
     seen = []
-    first = model.derivs.first
+    rows = model.derivs._rows
 
-    def counting(x, params):
-        seen.append(np.array(x, dtype=float))
-        return first(x, params)
+    def counting(fns, x, params):
+        if fns is model.derivs._first:
+            seen.append(np.array(x, dtype=float))
+        return rows(fns, x, params)
 
-    monkeypatch.setattr(model.derivs, "first", counting)
+    monkeypatch.setattr(model.derivs, "_rows", counting)
     ps = make_system(model, 10)
     assert seen == []  # nothing is solved before the first read
     ps.linear

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebdde.errors import ConvergenceError, UnknownSymbolError
+from chebdde._expr import BinOp, Call, Neg, Num, Param, State
+from chebdde.errors import ConvergenceError, EvalDomainError, UnknownSymbolError
 from chebdde.model import (
+    _newton,
     _solve,
     blowflies,
     equilibrium_solve,
@@ -18,7 +20,7 @@ from chebdde.model import (
     make_model,
     to_text,
 )
-from _reference import bilinear_form, trilinear_form
+from _reference import bilinear_form, equilibrium_newton, trilinear_form
 
 
 def test_make_model_validation():
@@ -249,3 +251,87 @@ def test_scalar_solve_refuses_a_zero_pivot_as_lapack_does(pivot):
         want = _outcome(np.linalg.solve, np.array([[pivot]]), b)
         assert want[0] is np.linalg.LinAlgError
         assert _outcome(_solve, np.array([[pivot]]), b) == want
+
+
+def _newton_outcome(newton, model, guess):
+    """The bits of (xbar, grad) and the step count of a Newton run, or the
+    class and message of what it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            xbar, grad, steps = newton(model, guess)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return xbar.dtype, xbar.tobytes(), grad.shape, grad.tobytes(), steps
+
+
+@st.composite
+def _newton_cases(draw):
+    """d = 1 or 2 rhs trees over K lags (a scalar model up to 9, where the
+    lag sum of its Jacobian turns pairwise), parameters and a guess."""
+    d = draw(st.sampled_from([1, 2]))
+    lags = draw(st.integers(1, 9 if d == 1 else 3))
+    leaves = st.one_of(
+        st.builds(Num, st.sampled_from([0.5, 1.0, 2.0, 3.7])),
+        st.builds(Param, st.sampled_from(["a", "b"])),
+        st.builds(State, st.integers(0, d - 1), st.integers(0, lags - 1)),
+    )
+
+    def extend(sub):
+        # a power 2.5 of a negative base is complex in Python's arithmetic
+        return st.one_of(
+            st.builds(Neg, sub),
+            st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+            st.builds(BinOp, st.just("^"), sub,
+                      st.builds(Num, st.sampled_from([2.0, 3.0, 2.5]))),
+            st.builds(Call, st.sampled_from(["exp", "log", "sin", "cos"]), sub),
+        )
+
+    trees = draw(st.lists(st.recursive(leaves, extend, max_leaves=8), min_size=d, max_size=d))
+    params = {"a": draw(st.floats(-3.0, 3.0)), "b": draw(st.floats(-3.0, 3.0))}
+    guess = draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d))
+    delays = tuple(np.linspace(0.0, 1.0, lags).tolist()) if lags > 1 else (0.0,)
+    return make_model(d, delays, trees, params), guess
+
+
+@settings(max_examples=150)
+@given(_newton_cases())
+def test_float_newton_equals_the_array_newton(case):
+    model, guess = case
+    assert _newton_outcome(_newton, model, guess) == _newton_outcome(
+        equilibrium_newton, model, guess)
+
+
+#: c_k x(t - k/8) summed over nine lags: the collapsed pivot sum c_k
+#: differs between numpy's pairwise order and a sequential one
+_NINE_COEFFS = [1 / 3, 0.7, 1e-3, 2.9, 1 / 7, 5.3, 0.11, 1 / 9, 3.3]
+_NINE_LAGS = " + ".join(f"{c!r}*x0@{k}" for k, c in enumerate(_NINE_COEFFS)) + " - 1"
+
+
+@pytest.mark.parametrize("dim, delays, rhs, guess, raises", [
+    (1, (0.0, 1.0), ("-mu*x0@0 + beta*x0@1*exp(-x0@1)",), [1.5], None),
+    (2, (0.0, 1.0), ("1 - k*x0@0*x0@1*x1@1/2", "x0@0 - c"), [1.4, 0.5], None),
+    (1, tuple(k / 8 for k in range(9)), (_NINE_LAGS,), [0.3], None),
+    (1, (0.0, 1.0), ("log(x0@0) - 1",), [-1.0], EvalDomainError),
+    (1, (0.0, 1.0), ("x0@1^2.5 - 1 - x0@0",), [-1.0], EvalDomainError),
+    (1, (0.0, 1.0), ("x0@0 - 1",), [math.nan], ConvergenceError),
+    (1, (0.0,), ("x0@0^2 + 1",), [0.0], ConvergenceError),
+    (2, (0.0, 1.0), ("x0@0 + x1@1 - 1", "2*x0@1 + 2*x1@0 - 3"), [0.0, 0.0],
+     ConvergenceError),
+], ids=["blowflies", "fluidflow", "nine-lags", "domain", "complex", "nan-iterate",
+        "singular-scalar", "singular-system"])
+def test_float_newton_paths_equal_the_array_newton(dim, delays, rhs, guess, raises):
+    params = {"mu": 4.0, "beta": 25.0, "k": 1.5, "c": 1.5}
+    used = {name: value for name, value in params.items()
+            if any(name in text for text in rhs)}
+    model = make_model(dim, delays, rhs, used)
+    got = _newton_outcome(_newton, model, guess)
+    assert got == _newton_outcome(equilibrium_newton, model, guess)
+    if raises is None:
+        assert isinstance(got[-1], int)
+    else:
+        assert got[0] is raises
+    if rhs == (_NINE_LAGS,):
+        in_order = 0.0
+        for c in _NINE_COEFFS:
+            in_order += c
+        assert in_order != float(np.add.reduce(_NINE_COEFFS))
