@@ -44,7 +44,6 @@ __all__ = [
     "delta0_lags",
     "boundary",
     "to_mu_beta",
-    "c_blowfly",
     "boundary_points",
     "admissible_omegas",
 ]
@@ -238,19 +237,6 @@ def _chart(n: Optional[int], w: np.ndarray) -> tuple:
     return b1, b2, 0.5 * d3 * b1n - d2 * d2 / (b1 + b2) * b1n + 0.5 * d2 * d2 * b2n
 
 
-def c_blowfly(omega, n: Optional[int] = None):
-    """First Lyapunov coefficient along the Hopf boundary of the delay
-    equation (n None) or of its degree-n collocation ODE; one omega gives a
-    complex, an array gives an array.
-
-    One omega alone and in an array may differ in the last bit, since
-    numpy's complex multiply rounds differently on scalars and in its array
-    loops (exact, omega = 1.58: Re c ends ...6984 alone, ...6995 in one)."""
-    w = np.asarray(omega, dtype=float)
-    c = _chart(n, w)[2]
-    return complex(c) if w.ndim == 0 else c
-
-
 def boundary_points(omegas, n: Optional[int] = None) -> tuple:
     """The chart at an array of omegas as columns (omega, b1, b2, mu, beta,
     Re c): the exact curve when n is None, else the degree-n one, whose
@@ -276,7 +262,9 @@ def admissible_omegas(
     omegas > 0 in [lo, hi] where Im zeta_n changes sign for the discretized
     one, the eigenvalues of one cached (n-1) x (n-1) matrix (_chart_poles);
     points within `margin` of one are dropped, as are points where the
-    boundary is singular or the (mu, beta) interpretation fails (b1 >= 0).
+    boundary is singular, where the (mu, beta) interpretation fails
+    (b1 >= 0) and where beta = -b1 e^{1 + b2/b1} overflows (just above
+    pi/2, where b1 -> 0-).
     """
     if not lo < hi:
         raise ValueError(f"omega window needs lo < hi, got [{lo}, {hi}]")
@@ -291,5 +279,7 @@ def admissible_omegas(
         for pole in _chart_poles(n):
             if lo <= pole <= hi:
                 near |= np.abs(grid - pole) <= margin
-    b1 = _coeffs(grid, _zeta(n, grid), strict=False)[0]  # NaN where singular
-    return grid[~near & (b1 < 0.0)]
+    b1, b2 = _coeffs(grid, _zeta(n, grid), strict=False)  # NaN where singular
+    mu_side = b1 < 0.0
+    ratio = 1.0 + b2 / np.where(mu_side, b1, -1.0)
+    return grid[~near & mu_side & (ratio <= math.log(sys.float_info.max))]

@@ -14,20 +14,20 @@ exactly the roots of Delta_n. PsSystem is the model at one parameter point
 for either problem (make_system(model) is the delay equation itself); it
 solves for its equilibrium on first read, which time stepping never does.
 One jet per shift assembles Delta with its lambda- and parameter-derivatives
-for the charfn_* functions and the Hopf paths, one update per delay over
-the linearization's [C_k | dC_k/dalpha_j] slots. At a degree the
-eigenvectors on both sides and a resolvent that never forms
-(lambda I - A_n) follow too.
+for charfn_det and the Hopf paths, one update per delay over the
+linearization's [C_k | dC_k/dalpha_j] slots.
 
 Lag solves go through numpy.linalg.solve (LAPACK's gesv), whose bits do not
 depend on the BLAS thread count; no command but the degree-n chart imports
 scipy.linalg, which is most of a one-shot run's start-up time and memory.
-One solve per shift gives the lag solve and the inverse that its
-conditioning guard measures. One SVD answers every question about a
-singular Delta: det Delta and its derivatives, the residual and the kernel
-pair. For a scalar model Delta is 1 x 1, and its smallest singular value is
-computed in the closed form LAPACK's SVD reduces to, so it is the same
-number without the call.
+One factorization per shift gives v and v': the solve against [D 1 | I]
+returns x = (D - lambda I)^{-1} D 1 and the inverse, which the conditioning
+guard measures and which turns x' = (D - lambda I)^{-1} x into one product.
+A Hopf diagnosis factors all of its shifts in one stacked call. One SVD
+answers every question about a singular Delta: det Delta and its
+derivatives, the residual and the kernel pair. For a scalar model Delta is
+1 x 1, and its smallest singular value is computed in the closed form
+LAPACK's SVD reduces to, so it is the same number without the call.
 
 State layout is (y_0, y_1, ..., y_n) blocked by node, each block of size d.
 """
@@ -45,13 +45,7 @@ import numpy as np
 from ._expr import compile_rhs
 from .analytic import delta0_lags
 from .cheb_mesh import Mesh, DiffOp, _bary_coeffs, diff_matrix, make_mesh
-from .errors import (
-    ConditioningError,
-    ConvergenceError,
-    SimplicityError,
-    SingularityError,
-    UnknownSymbolError,
-)
+from .errors import ConditioningError, ConvergenceError, UnknownSymbolError
 from .model import DdeModel, LinearPart, _at_point
 
 __all__ = [
@@ -59,14 +53,7 @@ __all__ = [
     "make_system",
     "assemble_An",
     "rhs",
-    "charfn_eval",
     "charfn_det",
-    "charfn_dlambda",
-    "charfn_dalpha",
-    "eigvec_right",
-    "eigvec_left",
-    "resolvent_apply",
-    "projection_apply",
     "eigenvalues",
     "replicate",
 ]
@@ -114,8 +101,9 @@ def _identity(n: int, dtype=float) -> np.ndarray:
 
 
 def lu_factor(a, b) -> np.ndarray:
-    """Solve a x = b with one LU factorization of a (LAPACK's gesv, through
-    numpy.linalg.solve); each lag solve at a new shift calls it once."""
+    """Solve a x = b with one LU factorization of a, or of each matrix of a
+    stack (LAPACK's gesv, through numpy.linalg.solve); each batch of new
+    lag-solve shifts calls it once."""
     return np.linalg.solve(a, b)
 
 
@@ -143,7 +131,7 @@ class PsSystem:
     _lag: tuple = field(default=(), repr=False)
     # model._at_point's keywords: the known equilibrium, or the guess
     _seed: dict = field(default_factory=dict, repr=False)
-    # lambda -> (D - lambda I, lag solve at lambda)
+    # lambda -> (lag solve at lambda, (D - lambda I)^{-1}), filled by _factor
     _solves: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -177,46 +165,62 @@ class PsSystem:
         1 / COND_LIMIT; one solve gives x and the inverse that measures it."""
         lam = complex(lam)
         hit = self._solves.get(lam)
-        if hit is not None:
-            return hit[1]
-        _require_degree(self, "lag_solve")
-        if not cmath.isfinite(lam):
-            raise ValueError("array must not contain infs or NaNs")
-        _, _, rhs, diag, off = self._lag
-        mat = self.diff.D - lam * _identity(self.n)
-        try:
-            sol = lu_factor(mat, rhs)
-        except np.linalg.LinAlgError:  # an exact zero pivot
-            rcond = 0.0
-        else:
-            norm = (off + np.abs(diag - lam)).max()
-            rcond = 1.0 / (norm * np.abs(sol[:, 1:]).sum(axis=0).max())
-        if not rcond >= 1.0 / COND_LIMIT:  # NaN is refused too
-            raise ConditioningError(
-                f"(D - lambda I) is numerically singular at lambda={lam} "
-                f"(rcond={rcond:.2e}); lambda sits near a spurious eigenvalue of D"
-            )
-        # contiguous: a BLAS dot product rounds a strided vector differently
-        x = sol[:, 0].copy()
-        if len(self._solves) > 512:
-            self._solves.clear()
-        self._solves[lam] = (mat, x)
-        return x
+        if hit is None:
+            _require_degree(self, "lag_solve")
+            if not cmath.isfinite(lam):
+                raise ValueError("array must not contain infs or NaNs")
+            rcond = _factor(self, [lam])[lam]
+            hit = self._solves.get(lam)
+            if hit is None:
+                raise ConditioningError(
+                    f"(D - lambda I) is numerically singular at lambda={lam} "
+                    f"(rcond={rcond:.2e}); lambda sits near a spurious eigenvalue of D"
+                )
+        return hit[0]
 
     def lag_values(self, lam: complex, order: int = 0) -> list:
         """Lag factor v_k(lambda) (order 0) or its derivative v_k'(lambda)
         (order 1) for every delay: exponentials for the delay equation; at a
-        degree the interpolated lag solve, whose derivative is one more
-        solve with the same matrix."""
+        degree the interpolated lag solve, whose derivative (D - lambda I)^{-1}
+        x is one product with the inverse the lag solve kept."""
         if self.n is None:
             return delta0_lags(self.model.delays, lam, order)
         lam = complex(lam)
         x = self.lag_solve(lam)
         head = 1.0
         if order == 1:
-            x, head = np.linalg.solve(self._solves[lam][0], x), 0.0
+            x, head = self._solves[lam][1] @ x, 0.0
         heads, tails = self._lag[:2]
         return [h * head + t @ x for h, t in zip(heads, tails)]
+
+
+def _factor(ps: PsSystem, shifts) -> dict:
+    """Factor D - lambda I at every finite uncached shift in one lu_factor
+    call on their stack (stacked gesv gives each shift the bits of its own
+    call) and cache (x, inverse) at each whose reciprocal 1-norm condition
+    number is at least 1 / COND_LIMIT; returns {shift: rcond}, rcond 0 for
+    the whole stack when LAPACK meets an exact zero pivot. lag_solve is the
+    one-shift case and raises for a shift left uncached."""
+    lams = [lam for lam in dict.fromkeys(map(complex, shifts))
+            if lam not in ps._solves and cmath.isfinite(lam)]
+    if not lams:
+        return {}
+    _, _, rhs, diag, off = ps._lag
+    shift = np.array(lams)
+    try:
+        sols = lu_factor(ps.diff.D - shift[:, None, None] * _identity(ps.n), rhs)
+    except np.linalg.LinAlgError:  # an exact zero pivot
+        return dict.fromkeys(lams, 0.0)
+    # contiguous: a BLAS product rounds a strided operand differently
+    xs, invs = sols[:, :, 0].copy(), sols[:, :, 1:].copy()
+    norms = (off + np.abs(diag - shift[:, None])).max(axis=1)
+    rconds = (1.0 / (norms * np.abs(invs).sum(axis=1).max(axis=1))).tolist()
+    if len(ps._solves) > 512:
+        ps._solves.clear()
+    for lam, x, inv, rcond in zip(lams, xs, invs, rconds):
+        if rcond >= 1.0 / COND_LIMIT:  # NaN is refused too
+            ps._solves[lam] = (x, inv)
+    return dict(zip(lams, rconds))
 
 
 def make_system(model: DdeModel, n: Optional[int] = None, equilibrium=None) -> PsSystem:
@@ -247,15 +251,19 @@ def replicate(xbar, n: int) -> np.ndarray:
 
 def assemble_An(ps: PsSystem) -> np.ndarray:
     """Dense linearized matrix; top block row couples the delays, the lower
-    rows are the model-independent differentiation blocks (-D1 | D) x I_d."""
+    rows are the model-independent differentiation blocks (d0 | D) x I_d.
+    Each block is the broadcast product np.kron forms, signed zeros and
+    all: the top row adds row_k[j] C_k per delay onto zeros, and the lower
+    rows multiply out op[K:] x I_d."""
     _require_degree(ps, "assemble_An")
-    d = ps.model.dim
+    d, n = ps.dim, ps.n
     k = len(ps.model.delays)
-    size = (ps.n + 1) * d
-    a = np.zeros((size, size))
+    a = np.zeros(((n + 1) * d, (n + 1) * d))
+    top = a[:d].reshape(d, n + 1, d)
     for row, mat in zip(ps.op[:k], ps.linear.mats):
-        a[:d] += np.kron(row, mat)
-    a[d:] = np.kron(ps.op[k:], np.eye(d))
+        top += row[:, None] * mat[:, None, :]
+    np.multiply(ps.op[k:, None, :, None], _identity(d)[:, None, :],
+                out=a[d:].reshape(n, d, n + 1, d))
     return a
 
 
@@ -308,30 +316,11 @@ def _dalpha(ps: PsSystem, lam: complex, out, name: str) -> np.ndarray:
     return (hi - lo) / (2.0 * h)
 
 
-def charfn_eval(ps: PsSystem, lam: complex):
-    """Delta(lambda) = lambda I - sum_k C_k v_k(lambda); a scalar for
-    one-dimensional models."""
-    val = _jet(ps, lam, slope=False)[0]
-    return val[0, 0] if ps.dim == 1 else val
-
-
 def charfn_det(ps: PsSystem, lam: complex) -> complex:
-    """det Delta(lambda) (= Delta itself for scalar models)."""
-    val = charfn_eval(ps, lam)
-    return complex(val) if ps.dim == 1 else complex(np.linalg.det(val))
-
-
-def charfn_dlambda(ps: PsSystem, lam: complex):
-    """Analytic lambda-derivative I - sum_k C_k v_k'(lambda)."""
-    val = _jet(ps, lam)[1]
-    return val[0, 0] if ps.dim == 1 else val
-
-
-def charfn_dalpha(ps: PsSystem, lam: complex, param: str):
-    """Parameter derivative of Delta: analytic along the equilibrium branch,
-    a central difference of the rebuilt Delta at a fold."""
-    (val,) = _jet(ps, lam, (param,), slope=False)[2]
-    return val[0, 0] if ps.dim == 1 else val
+    """det Delta(lambda), with Delta(lambda) = lambda I - sum_k C_k v_k(lambda)
+    (= Delta itself for scalar models)."""
+    val = _jet(ps, lam, slope=False)[0]
+    return complex(val[0, 0]) if ps.dim == 1 else complex(np.linalg.det(val))
 
 
 #: the kernel pair (p, q) of every 1 x 1 Delta, shared, so read-only
@@ -376,79 +365,6 @@ def _smin(mat: np.ndarray) -> float:
             x, y = x / w, y / w
             return w * math.sqrt(x * x + y * y)
     return float(np.linalg.svd(mat, compute_uv=False)[-1])
-
-
-def eigvec_right(ps: PsSystem, lam: complex) -> np.ndarray:
-    """Eigenvector (p_star, p_star x_1, ..., p_star x_n) of A_n at lambda,
-    with p_star the unit kernel vector of Delta_n(lambda)."""
-    _require_degree(ps, "eigvec_right")
-    lam = complex(lam)
-    _, _, res, p_star, _ = _root_data(_jet(ps, lam, slope=False)[0])
-    if res > 1e-8 * (1.0 + abs(lam)):
-        raise ValueError(
-            f"lambda={lam} is not a characteristic root (|Delta p|={res:.2e})"
-        )
-    x = ps.lag_solve(lam)
-    return np.concatenate([p_star, np.outer(x, p_star).reshape(-1)])
-
-
-def eigvec_left(ps: PsSystem, lam: complex, p: Optional[np.ndarray] = None) -> np.ndarray:
-    """Adjoint eigenvector of A_n at a simple root, scaled so q . p = 1 in the
-    bilinear (unconjugated) pairing."""
-    _require_degree(ps, "eigvec_left")
-    lam = complex(lam)
-    delta, dl, _ = _jet(ps, lam)
-    # |d/dlambda det Delta_n| at the root
-    _, (slope,), _, _, q_star = _root_data(delta, dl)
-    if abs(slope) < 1e-10 * (1.0 + abs(lam)):
-        raise SimplicityError(
-            f"characteristic root {lam} is not numerically simple"
-        )
-    d, n = ps.dim, ps.n
-    if p is None:
-        p = eigvec_right(ps, lam)
-    # rows of R couple q_star back through the delay blocks at each tail node
-    r = np.zeros((n, d), dtype=complex)
-    for row, mat in zip(ps.op[: len(ps.linear.mats)], ps.linear.mats):
-        r += np.outer(row[1:], np.asarray(mat, dtype=complex).T @ q_star)
-    tail = np.linalg.solve(lam * np.eye(n) - ps.diff.D.T, r)
-    q = np.concatenate([q_star, tail.reshape(-1)])
-    scale = q @ p
-    if abs(scale) < 1e-12 * (1.0 + np.linalg.norm(q) * np.linalg.norm(p)):
-        raise SimplicityError(
-            f"left/right eigenvectors at {lam} are bilinearly orthogonal"
-        )
-    return q / scale
-
-
-def resolvent_apply(ps: PsSystem, lam: complex, zeta) -> np.ndarray:
-    """Solve (lambda I - A_n) h = zeta with the lag solve's matrix and a d x d solve."""
-    _require_degree(ps, "resolvent_apply")
-    lam = complex(lam)
-    d, n = ps.dim, ps.n
-    zeta = np.asarray_chkfinite(zeta, dtype=complex).reshape(n + 1, d)
-    delta = _jet(ps, lam, slope=False)[0]
-    if _smin(delta) < 1e-10 * (1.0 + abs(lam)):
-        raise SingularityError(
-            f"lambda={lam} is an eigenvalue: Delta_n is singular"
-        )
-    x_eig = ps.lag_solve(lam)  # (D - lambda I)^{-1} D 1
-    # Fortran order: for d > 1 the products below round by memory order
-    x_part = np.asfortranarray(-np.linalg.solve(ps._solves[lam][0], zeta[1:]))
-    head_rhs = zeta[0].copy()
-    for row, mat in zip(ps._lag[1], ps.linear.mats):
-        head_rhs += mat @ (row @ x_part)
-    h0 = np.linalg.solve(delta, head_rhs)
-    tail = x_part + np.outer(x_eig, h0)
-    return np.concatenate([h0, tail.reshape(-1)])
-
-
-def projection_apply(ps: PsSystem, lam: complex, zeta) -> np.ndarray:
-    """Spectral projection onto the eigenspace at a simple root lambda."""
-    p = eigvec_right(ps, lam)
-    q = eigvec_left(ps, lam, p)
-    zeta = np.asarray(zeta, dtype=complex).reshape(-1)
-    return (q @ zeta) * p
 
 
 def eigenvalues(a: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .discretize import (
+    _factor,
     _jet,
     _root_data,
     _smin,
@@ -266,7 +267,8 @@ def hopf_point(cf, param: str, omega: float, alpha: float,
     Validates that i*omega solves the characteristic equation at alpha
     before computing any diagnostics, each of which is computed once here:
     the Lyapunov solves at 0 and 2 i omega also give the resonance scan its
-    k = 0 and 2 margins.
+    k = 0 and 2 margins. At a degree the lag solves at those shifts and the
+    scan's are factored in one stacked call.
     """
     omega = float(omega)
     alpha = float(alpha)
@@ -283,6 +285,9 @@ def hopf_point(cf, param: str, omega: float, alpha: float,
     p, q = _critical_pair(lam, p, q, dl)
     (dalpha,) = dalphas  # read after the root and pair checks
     sigma = float((q @ (dalpha @ p)).real)
+    if cur.n is not None:
+        # the Lyapunov solves' and the scan's shifts, factored in one call
+        _factor(cur, [1j * (k * omega) for k in (0, *range(2, K_MAX + 1))])
     c, known = _lyapunov(cur, omega, (p, q))
     a2 = c.real / sigma if sigma != 0.0 else math.nan
     verdict = _nonresonance_verdict(cur, omega, known)

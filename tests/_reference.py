@@ -18,6 +18,11 @@ cardinal row of the mesh and the model's compiled derivative tensors).
   assembled one matrix and one delay at a time: the array forms of the
   float Newton, the stacked linearization and the stacked jet the library
   runs.
+- Delta, its lambda- and parameter-derivatives read off the library's jet
+  one at a time, the blowfly chart's Lyapunov coefficient alone, and the
+  ODE side at a degree: the right and left eigenvectors of A_n extended
+  from Delta_n's kernel pair, a resolvent that never forms
+  (lambda I - A_n), and the spectral projection; A_n itself by np.kron.
 """
 
 from __future__ import annotations
@@ -27,8 +32,15 @@ import math
 
 import numpy as np
 
+from chebdde.analytic import _chart
 from chebdde.cheb_mesh import Mesh, _bary_coeffs
-from chebdde.errors import ConvergenceError, SingularityError, UnknownSymbolError
+from chebdde.discretize import _jet, _require_degree, _root_data, _smin
+from chebdde.errors import (
+    ConvergenceError,
+    SimplicityError,
+    SingularityError,
+    UnknownSymbolError,
+)
 from chebdde.model import DdeModel, _solve
 
 
@@ -225,3 +237,123 @@ def combine_jet(ps, lam: complex, params=(), slope: bool = True) -> tuple:
         lo = combine_jet(ps.with_param(name, alpha - h), lam, slope=False)[0]
         dalpha.append((hi - lo) / (2.0 * h))
     return delta, dl, dalpha
+
+
+def charfn_eval(ps, lam: complex):
+    """Delta(lambda) = lambda I - sum_k C_k v_k(lambda); a scalar for
+    one-dimensional models."""
+    val = _jet(ps, lam, slope=False)[0]
+    return val[0, 0] if ps.dim == 1 else val
+
+
+def charfn_dlambda(ps, lam: complex):
+    """Analytic lambda-derivative I - sum_k C_k v_k'(lambda)."""
+    val = _jet(ps, lam)[1]
+    return val[0, 0] if ps.dim == 1 else val
+
+
+def charfn_dalpha(ps, lam: complex, param: str):
+    """Parameter derivative of Delta: analytic along the equilibrium branch,
+    a central difference of the rebuilt Delta at a fold."""
+    (val,) = _jet(ps, lam, (param,), slope=False)[2]
+    return val[0, 0] if ps.dim == 1 else val
+
+
+def eigvec_right(ps, lam: complex) -> np.ndarray:
+    """Eigenvector (p_star, p_star x_1, ..., p_star x_n) of A_n at lambda,
+    with p_star the unit kernel vector of Delta_n(lambda)."""
+    _require_degree(ps, "eigvec_right")
+    lam = complex(lam)
+    _, _, res, p_star, _ = _root_data(_jet(ps, lam, slope=False)[0])
+    if res > 1e-8 * (1.0 + abs(lam)):
+        raise ValueError(
+            f"lambda={lam} is not a characteristic root (|Delta p|={res:.2e})"
+        )
+    x = ps.lag_solve(lam)
+    return np.concatenate([p_star, np.outer(x, p_star).reshape(-1)])
+
+
+def eigvec_left(ps, lam: complex, p=None) -> np.ndarray:
+    """Adjoint eigenvector of A_n at a simple root, scaled so q . p = 1 in the
+    bilinear (unconjugated) pairing."""
+    _require_degree(ps, "eigvec_left")
+    lam = complex(lam)
+    delta, dl, _ = _jet(ps, lam)
+    # |d/dlambda det Delta_n| at the root
+    _, (slope,), _, _, q_star = _root_data(delta, dl)
+    if abs(slope) < 1e-10 * (1.0 + abs(lam)):
+        raise SimplicityError(
+            f"characteristic root {lam} is not numerically simple"
+        )
+    d, n = ps.dim, ps.n
+    if p is None:
+        p = eigvec_right(ps, lam)
+    # rows of R couple q_star back through the delay blocks at each tail node
+    r = np.zeros((n, d), dtype=complex)
+    for row, mat in zip(ps.op[: len(ps.linear.mats)], ps.linear.mats):
+        r += np.outer(row[1:], np.asarray(mat, dtype=complex).T @ q_star)
+    tail = np.linalg.solve(lam * np.eye(n) - ps.diff.D.T, r)
+    q = np.concatenate([q_star, tail.reshape(-1)])
+    scale = q @ p
+    if abs(scale) < 1e-12 * (1.0 + np.linalg.norm(q) * np.linalg.norm(p)):
+        raise SimplicityError(
+            f"left/right eigenvectors at {lam} are bilinearly orthogonal"
+        )
+    return q / scale
+
+
+def resolvent_apply(ps, lam: complex, zeta) -> np.ndarray:
+    """Solve (lambda I - A_n) h = zeta with D - lambda I, the lag solve and a
+    d x d solve."""
+    _require_degree(ps, "resolvent_apply")
+    lam = complex(lam)
+    d, n = ps.dim, ps.n
+    zeta = np.asarray_chkfinite(zeta, dtype=complex).reshape(n + 1, d)
+    delta = _jet(ps, lam, slope=False)[0]
+    if _smin(delta) < 1e-10 * (1.0 + abs(lam)):
+        raise SingularityError(
+            f"lambda={lam} is an eigenvalue: Delta_n is singular"
+        )
+    x_eig = ps.lag_solve(lam)  # (D - lambda I)^{-1} D 1
+    # Fortran order: for d > 1 the products below round by memory order
+    x_part = np.asfortranarray(-np.linalg.solve(ps.diff.D - lam * np.eye(n), zeta[1:]))
+    head_rhs = zeta[0].copy()
+    for row, mat in zip(ps._lag[1], ps.linear.mats):
+        head_rhs += mat @ (row @ x_part)
+    h0 = np.linalg.solve(delta, head_rhs)
+    tail = x_part + np.outer(x_eig, h0)
+    return np.concatenate([h0, tail.reshape(-1)])
+
+
+def projection_apply(ps, lam: complex, zeta) -> np.ndarray:
+    """Spectral projection onto the eigenspace at a simple root lambda."""
+    p = eigvec_right(ps, lam)
+    q = eigvec_left(ps, lam, p)
+    zeta = np.asarray(zeta, dtype=complex).reshape(-1)
+    return (q @ zeta) * p
+
+
+def c_blowfly(omega, n=None):
+    """First Lyapunov coefficient along the Hopf boundary of the delay
+    equation (n None) or of its degree-n collocation ODE; one omega gives a
+    complex, an array gives an array.
+
+    One omega alone and in an array may differ in the last bit, since
+    numpy's complex multiply rounds differently on scalars and in its array
+    loops (exact, omega = 1.58: Re c ends ...6984 alone, ...6995 in one)."""
+    w = np.asarray(omega, dtype=float)
+    c = _chart(n, w)[2]
+    return complex(c) if w.ndim == 0 else c
+
+
+def assemble_An_kron(ps) -> np.ndarray:
+    """A_n by np.kron: the top block row adds kron(row_k, C_k) per delay onto
+    zeros, the lower rows are kron(op[K:], I_d)."""
+    d = ps.model.dim
+    k = len(ps.model.delays)
+    size = (ps.n + 1) * d
+    a = np.zeros((size, size))
+    for row, mat in zip(ps.op[:k], ps.linear.mats):
+        a[:d] += np.kron(row, mat)
+    a[d:] = np.kron(ps.op[k:], np.eye(d))
+    return a

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from chebdde.analytic import admissible_omegas, boundary, c_blowfly
+from chebdde.analytic import admissible_omegas, boundary
 from chebdde.cheb_mesh import diff_matrix, make_mesh
 from chebdde.discretize import (
     assemble_An,
@@ -28,6 +28,7 @@ from chebdde.errors import PeriodEstimateError, NotPeriodicError
 from chebdde.hopf import find_hopf, trace_hopf_curve
 from chebdde.model import blowflies, fluidflow, make_model
 from chebdde.simulate import bracket_period_doubling, integrate, period_report
+from _reference import c_blowfly
 
 ROOT = Path(__file__).resolve().parent.parent
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,15 +12,23 @@ from chebdde.analytic import (
     admissible_omegas,
     boundary,
     boundary_points,
-    c_blowfly,
     lag_solve_last,
     to_mu_beta,
 )
 from chebdde.cheb_mesh import diff_matrix, make_mesh
-from chebdde.discretize import charfn_dalpha, charfn_dlambda, charfn_eval, make_system
+from chebdde.discretize import make_system
 from chebdde.errors import SingularityError
 from chebdde.model import blowflies, fluidflow, make_model
-from _reference import exact_boundary, exact_c, lambda_prime_n2, lambda_prime_n2_re
+from _reference import (
+    c_blowfly,
+    charfn_dalpha,
+    charfn_dlambda,
+    charfn_eval,
+    exact_boundary,
+    exact_c,
+    lambda_prime_n2,
+    lambda_prime_n2_re,
+)
 
 MU, BETA = 3.0, 30.0
 B1 = -MU
@@ -319,6 +328,24 @@ def test_admissible_omegas_excludes_singularity():
     assert np.all(mu > 0.0)
 
 
+@pytest.mark.parametrize("n", [None, 40], ids=["exact", "n40"])
+def test_admissible_omegas_drop_the_rows_where_beta_overflows(n):
+    # just above pi/2, b1 -> 0- and beta = -b1 e^{1 + b2/b1} is unbounded: a
+    # fine grid from below pi/2 keeps only the rows whose e^{...} is finite,
+    # so the chart over them is finite, and drops no row further up
+    grid = np.linspace(1.5, 3.1, 1000)
+    ws = admissible_omegas(1.5, 3.1, 1000, n)
+    b1, b2 = boundary(grid, n)
+    overflow = (b1 < 0.0) & (1.0 + b2 / np.where(b1 < 0.0, b1, -1.0) > math.log(sys.float_info.max))
+    assert overflow.sum() >= 1
+    assert np.intersect1d(ws, grid[overflow]).size == 0
+    assert np.array_equal(ws, admissible_omegas(1.5, 3.1, 1000, n, margin=1e-3))
+    _, _, _, mu, beta, re_c = boundary_points(ws, n)
+    assert np.all(np.isfinite(beta)) and np.all(np.isfinite(re_c)) and np.all(mu > 0.0)
+    assert np.array_equal(ws[ws > grid[overflow].max()],
+                          grid[(grid > grid[overflow].max()) & (b1 < 0.0)])
+
+
 def test_boundary_point_exact_curve():
     omega, b1, b2, mu, _, re_c = boundary_points([2.0])
     assert omega.tolist() == [2.0]
@@ -519,7 +546,9 @@ def test_admissible_omegas_across_n3_pole_match_per_point_scan():
 
 def test_exact_pole_filter_matches_full_list():
     # the old filter tested every grid point against every k pi in range;
-    # a margin of 2 makes the in-range multiple not always the nearest one
+    # a margin of 2 makes the in-range multiple not always the nearest one.
+    # Rows where beta = -b1 e^{1 + b2/b1} overflows (one here, just above
+    # 9 pi/2, where b1 -> 0-) are dropped as well
     for lo, hi, steps, margin in (
         (0.5, 40.0, 4001, 1e-3),
         (0.5, 40.0, 4001, 2.0),
@@ -532,10 +561,10 @@ def test_exact_pole_filter_matches_full_list():
             if any(abs(w - s) <= margin for s in sing):
                 continue
             try:
-                b1, _ = boundary(w)
+                b1, b2 = boundary(w)
             except SingularityError:
                 continue
-            if b1 < 0.0:
+            if b1 < 0.0 and 1.0 + b2 / b1 <= math.log(sys.float_info.max):
                 want.append(w)
         assert np.array_equal(admissible_omegas(lo, hi, steps, margin=margin), want)
 

@@ -13,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebdde import cli, hopf
-from chebdde.analytic import admissible_omegas, boundary, c_blowfly
+from chebdde.analytic import admissible_omegas, boundary, to_mu_beta
 from chebdde.discretize import assemble_An, eigenvalues, make_system
-from chebdde.errors import ConvergenceError
+from chebdde.errors import ConvergenceError, SingularityError
 from chebdde.hopf import find_hopf
 from chebdde.model import blowflies
-from _reference import combine_jet
+from _reference import c_blowfly, combine_jet
 
 
 def run(capsys, argv):
@@ -348,6 +348,8 @@ def test_chart_blowfly_bytes_do_not_depend_on_blas_threads(tmp_path):
     (40, 1.58, 3.1, 1000, [1000, 1000]),  # the benchmark's lowest omega-min
     (40, 1.56, 3.1, 100, [99, 99]),  # from below pi/2: the row with b1 >= 0 is dropped
     (3, 2.9, 3.2, 300, [240, 127]),  # across pi, and the n = 3 pole near 3.02
+    # from below pi/2 on a fine grid: the rows where beta overflows are dropped
+    (40, 1.5, 3.1, 1000, [954, 954]),
 ])
 def test_chart_blowfly_csv_is_the_boundary_in_closed_form(capsys, n, lo, hi, steps, counts):
     # every row from boundary and c_blowfly, with mu = -b1 and
@@ -730,14 +732,21 @@ def test_simulate_needs_no_equilibrium(capsys, tmp_path):
                                "message": "math domain error in 'model rhs at node 0'"}
 
 
-def test_chart_overflow_is_a_numerical_failure(capsys):
-    # beta overflows at the end point of the exact boundary near omega = pi
+def test_chart_drops_the_rows_where_beta_overflows(capsys):
+    # at omega = 40 the degree-8 boundary has b1 = -0.79, b2 = -1096, so
+    # beta = -b1 e^{1 + b2/b1} overflows; the grid drops that row as it drops
+    # b1 >= 0, where the chart used to exit 1 on it, and the (mu, beta) map
+    # still refuses the pair as a numerical failure
     code, out, err = run(capsys, ["chart-blowfly", "--n", "8", "--omega-min", "2.5",
                                   "--omega-max", "40", "--steps", "3"])
-    assert code == 1 and out == ""
-    payload = json.loads(err)
-    assert payload["error"] == "singular_point"
-    assert "overflows" in payload["message"]
+    assert code == 0 and err == ""
+    _, rows = rows_of(out)
+    assert [(r[0], r[1]) for r in rows] == [("dde", "2.5"), ("dde", "21.25"), ("dde", "40.0"),
+                                            ("discretized", "2.5"), ("discretized", "21.25")]
+    b1, b2 = boundary(40.0, 8)
+    assert 1.0 + b2 / b1 > math.log(sys.float_info.max)
+    with pytest.raises(SingularityError, match="beta overflows"):
+        to_mu_beta(b1, b2)
 
 
 def test_simulate_component_out_of_range_is_a_usage_error(capsys, tmp_path):

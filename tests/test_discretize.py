@@ -7,21 +7,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
+from chebdde import discretize
 from chebdde.discretize import (
+    _factor,
     _jet,
     _smin,
     assemble_An,
-    charfn_dalpha,
     charfn_det,
-    charfn_dlambda,
-    charfn_eval,
     eigenvalues,
-    eigvec_left,
-    eigvec_right,
     make_system,
-    projection_apply,
     replicate,
-    resolvent_apply,
     rhs,
 )
 from chebdde.errors import (
@@ -38,7 +33,19 @@ from chebdde.model import (
     make_model,
     param_jacobians,
 )
-from _reference import combine_jet, interpolate, param_jacobians_by_name
+from _reference import (
+    assemble_An_kron,
+    charfn_dalpha,
+    charfn_dlambda,
+    charfn_eval,
+    combine_jet,
+    eigvec_left,
+    eigvec_right,
+    interpolate,
+    param_jacobians_by_name,
+    projection_apply,
+    resolvent_apply,
+)
 
 MU, BETA = 3.0, 30.0
 NBAR = math.log(BETA / MU)
@@ -589,17 +596,23 @@ def _lu_solve_twice(factors, b):
 
 def _reference_solves(ps, lam, zeta):
     """The lag solve, lag_values(order=1) and resolvent_apply computed with
-    scipy.linalg's LU wrappers; None where the reciprocal 1-norm condition
-    number of D - lambda I is below 1e-14, where the library refuses."""
+    scipy.linalg's LU wrappers, and lag_values(order=1) from a second LU
+    solve; None where the reciprocal 1-norm condition number of
+    D - lambda I is below 1e-14, where the library refuses. The library's
+    derivative is the inverse (the factor solved against I) times x, so
+    that is the bit-for-bit reference; a second LU solve for x' is
+    only as close as the conditioning allows."""
     k, d, n = len(ps.model.delays), ps.dim, ps.n
     mat = ps.diff.D - lam * np.eye(n)
     if 1.0 / np.linalg.cond(mat, 1) < 1e-14:
         return None
     factors = lu_factor(mat.astype(complex))
     x = _lu_solve_twice(factors, -ps.diff.d0)
-    dx = _lu_solve_twice(factors, x)
+    inverse = np.ascontiguousarray(_lu_solve_twice(factors, np.eye(n)))
     lag = [row[0] * 1.0 + row[1:] @ x for row in ps.op[:k]]
-    dlag = [row[0] * 0.0 + row[1:] @ dx for row in ps.op[:k]]
+    dlag = [row[0] * 0.0 + row[1:] @ (inverse @ x) for row in ps.op[:k]]
+    resolved = _lu_solve_twice(factors, x)
+    dlag_solved = [row[1:] @ resolved for row in ps.op[:k]]
     resolvent_lu = lu_factor(lam * np.eye(n) - ps.diff.D.astype(complex))
     x_part = _lu_solve_twice(resolvent_lu, zeta[1:])
     x_eig = _lu_solve_twice(resolvent_lu, ps.diff.d0)
@@ -611,7 +624,14 @@ def _reference_solves(ps, lam, zeta):
         head_rhs += c @ (row[1:] @ x_part)
     h0 = np.linalg.solve(delta, head_rhs)
     tail = x_part + np.outer(x_eig, h0)
-    return x, dlag, np.concatenate([h0, tail.reshape(-1)])
+    # inverse @ x and the second LU solve both carry a forward error of order
+    # n eps cond_1 ||inverse||_1 ||x||_1 (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2nd ed., sections 13.1 and 14.1), summed by each
+    # lag row's tail; 16 n eps covers both and the rounding of the products
+    cond = np.linalg.cond(mat, 1)
+    scale = 16 * n * np.finfo(float).eps * cond * np.abs(inverse).sum(axis=0).max()
+    bounds = [scale * np.abs(row[1:]).max() * np.abs(x).sum() for row in ps.op[:k]]
+    return x, dlag, np.concatenate([h0, tail.reshape(-1)]), (dlag_solved, bounds)
 
 
 #: models for the solve comparisons: with the delays 0 and 1 alone every
@@ -645,11 +665,14 @@ def test_lapack_solves_match_scipy_wrappers(n, which, lam, seed):
         with pytest.raises(ConditioningError):
             resolvent_apply(ps, lam, zeta.reshape(-1))
     else:
-        x, dlag, h = want
+        x, dlag, h, (dlag_solved, bounds) = want
         got = ps.lag_solve(lam)
         assert np.array_equal(got, x)
         assert ps.lag_solve(lam) is got  # a cache hit returns the cached array
-        assert np.array_equal(ps.lag_values(lam, 1), dlag)
+        slopes = ps.lag_values(lam, 1)
+        assert np.array_equal(slopes, dlag)
+        # against a second LU solve, to the conditioning-scaled bound
+        assert all(abs(a - b) <= bound for a, b, bound in zip(slopes, dlag_solved, bounds))
         assert np.array_equal(resolvent_apply(ps, lam, zeta.reshape(-1)), h)
 
     for bad in (complex(math.inf, 0.0), complex(0.0, math.nan)):
@@ -664,6 +687,62 @@ def test_lapack_solves_match_scipy_wrappers(n, which, lam, seed):
         resolvent_apply(fresh, at_d, zeta.reshape(-1))
     with pytest.raises(ConditioningError):
         fresh.lag_solve(at_d)
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(1, 48),
+    which=st.integers(0, len(SOLVE_MODELS) - 1),
+    shifts=st.lists(st.complex_numbers(max_magnitude=40.0), min_size=0, max_size=12),
+    pole=st.integers(0, 47),
+    at=st.integers(0, 12),
+)
+def test_stacked_factorization_caches_the_one_shift_bits(n, which, shifts, pole, at):
+    # a Hopf diagnosis factors its shifts in one call on their stack; each
+    # cache entry (x and the inverse) keeps the bits of a one-shift lag
+    # solve, and a shift at an eigenvalue of D stays uncached and is refused
+    model = SOLVE_MODELS[which]()
+    spurious = complex(np.linalg.eigvals(make_system(model, n).diff.D)[pole % n])
+    shifts = shifts[:at] + [spurious] + shifts[at:]
+    stacked = make_system(model, n)
+    calls = []
+
+    def counting(a, b):
+        calls.append(np.shape(a))
+        return lu(a, b)
+
+    lu = discretize.lu_factor
+    try:
+        discretize.lu_factor = counting
+        rconds = _factor(stacked, shifts)
+    finally:
+        discretize.lu_factor = lu
+    assert calls == [(len(set(map(complex, shifts))), n, n)]
+    refused = all(rcond == 0.0 for rcond in rconds.values())  # an exact zero pivot
+    single = make_system(model, n)
+    for lam in shifts:
+        lam = complex(lam)
+        try:
+            x = single.lag_solve(lam)
+        except ConditioningError:
+            assert lam not in stacked._solves
+            with pytest.raises(ConditioningError):
+                stacked.lag_solve(lam)
+            continue
+        assert lam in stacked._solves or refused
+        assert np.array_equal(stacked.lag_solve(lam), x)
+        assert all(a.flags.c_contiguous for a in stacked._solves[lam])
+        assert all(np.array_equal(a, b) for a, b in zip(stacked._solves[lam], single._solves[lam]))
+    assert spurious not in stacked._solves
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16])
+@pytest.mark.parametrize("model", [blowflies(MU, BETA), fluidflow(), three_delay_ring()],
+                         ids=["blowflies", "fluidflow", "ring3"])
+def test_assemble_An_is_the_kron_product(model, n):
+    # bytes, so the signed zeros of op[K:] x I_d (d > 1) count
+    for ps in (make_system(model, n), make_system(model, n, equilibrium=[0.3] * model.dim)):
+        assert assemble_An(ps).tobytes() == assemble_An_kron(ps).tobytes()
 
 
 def _outcome(fn, *args):

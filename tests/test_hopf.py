@@ -5,12 +5,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from chebdde.analytic import (
-    boundary,
-    c_blowfly,
-    to_mu_beta,
-)
-from chebdde.discretize import assemble_An, charfn_eval, eigenvalues, make_system
+from chebdde.analytic import boundary, to_mu_beta
+from chebdde.discretize import assemble_An, eigenvalues, make_system
 from chebdde.errors import (
     ChebddeError,
     ContinuationError,
@@ -30,7 +26,7 @@ from chebdde.hopf import (
     trace_hopf_curve,
 )
 from chebdde.model import blowflies, fluidflow, make_model
-from _reference import lambda_prime_n2_re
+from _reference import c_blowfly, charfn_eval, lambda_prime_n2_re
 
 MU = 3.0
 
@@ -377,6 +373,28 @@ def test_hopf_point_assembles_delta_once_per_resonance_shift(n, monkeypatch):
                        [m for _, m in h.nonresonance.margins], rtol=1e-12, atol=0)
     for k in range(K_MAX + 1):
         assert shifts.count(1j * (k * h.omega)) == 1, k
+
+
+@pytest.mark.parametrize("model, param, omega, alpha, n", [
+    (blowflies(MU, 25.0), "beta", 2.4, 25.0, 10),
+    (fluidflow(), "k", 1.2, 1.0, 12),
+    (make_model(3, (0.0, 1.0), ("-x0@0 + a*sin(x2@1)", "-x1@0 + a*sin(x0@1)",
+                                "-x2@0 + a*sin(x1@1)"), {"a": 1.5}, [0.0, 0.0, 0.0]),
+     "a", 1.2, 1.5, 12),
+], ids=["blowflies", "fluidflow", "ring3"])
+def test_stacked_factorization_keeps_the_diagnosis_bits(model, param, omega, alpha, n,
+                                                        monkeypatch):
+    # at a fixed (omega, alpha), the shifts factored in one stacked call and
+    # one at a time give the same margins, bit for bit, and the same c
+    h = find_hopf(make_system(model, n), param, omega, alpha)
+    stacked = hopf_point(make_system(model.with_params(**{param: h.alpha}), n),
+                         param, h.omega, h.alpha)
+    monkeypatch.setattr(hopf, "_factor", lambda cf, shifts: {})
+    single = hopf_point(make_system(model.with_params(**{param: h.alpha}), n),
+                        param, h.omega, h.alpha)
+    assert np.array(stacked.nonresonance.margins).tobytes() == \
+        np.array(single.nonresonance.margins).tobytes()
+    assert (stacked.c, stacked.sigma, stacked.a2) == (single.c, single.sigma, single.a2)
 
 
 def test_scalar_hopf_paths_skip_linalg_on_real_and_1x1_blocks(monkeypatch):

@@ -13,11 +13,11 @@ import pytest
 
 import chebdde
 
-from chebdde import analytic, cheb_mesh, simulate
+from chebdde import analytic, cheb_mesh, discretize, simulate
 from chebdde import model as model_layer
-from chebdde.discretize import charfn_eval, make_system
+from chebdde.discretize import make_system
 from chebdde.model import blowflies
-from _reference import trilinear_form
+from _reference import charfn_eval, trilinear_form
 
 LAYERS = ["cheb_mesh", "model", "discretize", "analytic", "hopf", "simulate"]
 
@@ -28,13 +28,17 @@ def test_every_exported_name_exists(layer):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
-# What only tests used: the oracles now in tests/_reference.py, the deleted
-# wrapper analytic.boundary_point, the unread property LinearPart.terms, and
+# What only tests used: the oracles now in tests/_reference.py (the ODE-side
+# eigenvectors, resolvent and projection among them), the deleted wrapper
+# analytic.boundary_point, the unread property LinearPart.terms, and
 # aliases of one expression each (LinearPart.delays copied model.delays)
 _TEST_ONLY = [
     (cheb_mesh, ["lagrange_eval", "interpolate", "lebesgue_constant"]),
     (model_layer, ["_slot_vector", "bilinear_form", "trilinear_form", "collapsed_rhs"]),
-    (analytic, ["_b1_n2", "lambda_prime_n2", "lambda_prime_n2_re", "boundary_point"]),
+    (analytic, ["_b1_n2", "lambda_prime_n2", "lambda_prime_n2_re", "boundary_point",
+                "c_blowfly"]),
+    (discretize, ["charfn_eval", "charfn_dlambda", "charfn_dalpha", "eigvec_right",
+                  "eigvec_left", "resolvent_apply", "projection_apply"]),
     (simulate, ["estimate_period"]),
     (simulate.Trajectory, ["component"]),
     (model_layer.DdeModel, ["rhs_text"]),
